@@ -1,6 +1,6 @@
 """Command-line front end: wire JSON configs to the modules, emit artifacts.
 
-    optomech <command> --config cfg.json --out outdir [--seed N] [--threads N]
+    optomech <command> --config cfg.json --out outdir [--seed N]
 
 Commands: params, state, measure, wigner, pulse, protocol, verify.  Every
 command is deterministic given (config, seed) and overwrites its outputs
@@ -108,7 +108,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def cmd_params(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_params(cfg: dict, out: Path, seed) -> int:
     sys_obj = cfg.get("system")
     if not isinstance(sys_obj, dict):
         raise ConfigError("config.system is required (object of SI fields)")
@@ -129,7 +129,7 @@ def cmd_params(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_state(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_state(cfg: dict, out: Path, seed) -> int:
     grid = _grid_from(cfg)
     state = st.make_gaussian(grid, _spec_from(cfg))
     st.state_to_npz(state, out / "state.npz")
@@ -141,7 +141,7 @@ def cmd_state(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_measure(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_measure(cfg: dict, out: Path, seed) -> int:
     grid = _grid_from(cfg)
     state = st.make_gaussian(grid, _spec_from(cfg))
     chi = _require(cfg, "chi", float)
@@ -162,7 +162,7 @@ def cmd_measure(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_wigner(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_wigner(cfg: dict, out: Path, seed) -> int:
     grid = _grid_from(cfg)
     state = st.make_gaussian(grid, _spec_from(cfg))
     mode = cfg.get("mode", "initial")
@@ -183,7 +183,7 @@ def cmd_wigner(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_pulse(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_pulse(cfg: dict, out: Path, seed) -> int:
     kappa = float(cfg.get("kappa", 1.0))
     n_p = _require(cfg, "photon_number", float)
     g_lin = _require(cfg, "g_lin", float)
@@ -208,7 +208,7 @@ def cmd_pulse(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_protocol(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_protocol(cfg: dict, out: Path, seed) -> int:
     grid = _grid_from(cfg)
     window = _window_from(cfg, required=True)
     chi = _require(cfg, "chi", float)
@@ -239,7 +239,7 @@ def cmd_protocol(cfg: dict, out: Path, seed, threads) -> int:
             tomography_chi_p=chi_p, nbar_over_q=nbar_over_q)
     except OptomechError as exc:
         raise ConfigError(str(exc))
-    summary = pr.run_protocol(config, grid=grid, threads=threads)
+    summary = pr.run_protocol(config, grid=grid)
     pr.records_to_jsonl(summary.records, out / "runs.jsonl")
     _write(out, "summary.json", pr.summary_to_json(summary) + "\n")
     if summary.mean_state is not None:
@@ -253,7 +253,7 @@ def cmd_protocol(cfg: dict, out: Path, seed, threads) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, out: Path, seed, threads) -> int:
+def cmd_verify(cfg: dict, out: Path, seed) -> int:
     names = cfg.get("checks")
     if names is not None and (not isinstance(names, list)
                               or not all(isinstance(n, str) for n in names)):
@@ -299,13 +299,11 @@ def main(argv=None) -> int:
                         help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for the protocol command")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
         args.out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out, args.seed, args.threads)
+        return COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -63,23 +63,15 @@ class LinearPulseMeasurement:
 
     The outcome is stored already offset (reference level minus raw homodyne
     result), so positive values select positions |x| ~ sqrt(outcome / chi).
-    efficiency is a reserved hook for non-ideal homodyne detection; only the
-    ideal value 1 is modeled.
     """
 
     chi: float
     omega_kick: float = 0.0
     outcome: float = 0.0
-    efficiency: float = 1.0
 
     def __post_init__(self):
         if self.chi <= 0:
             raise DomainError(f"chi must be positive, got {self.chi!r}")
-        if not 0.0 < self.efficiency <= 1.0:
-            raise DomainError("efficiency must lie in (0, 1]")
-        if self.efficiency != 1.0:
-            raise NotImplementedError(
-                "non-ideal homodyne efficiency is reserved, not modeled")
 
 
 @dataclass(frozen=True)
@@ -107,6 +99,8 @@ class OutcomeWindow:
     width: float
 
     def __post_init__(self):
+        if not np.isfinite([self.center, self.width]).all():
+            raise DomainError(f"window must be finite, got {self!r}")
         if self.width <= 0:
             raise DomainError(f"width must be positive, got {self.width!r}")
 
@@ -119,13 +113,19 @@ class OutcomeWindow:
         return self.center + 0.5 * self.width
 
 
+def _kraus_rows(xs: np.ndarray, chi: float, omega_kick: float, outcomes):
+    """Linear-scheme Kraus diagonals U(x; q): shape (n,) for one outcome,
+    (m, n) for an array of m outcomes."""
+    q = np.asarray(outcomes, dtype=float)[..., None]
+    return (np.pi ** (-0.25)
+            * np.exp(1j * omega_kick * xs)
+            * np.exp(-0.5 * (q - chi * xs**2) ** 2))
+
+
 def linear_kraus_diagonal(grid: QuadratureGrid,
                           meas: LinearPulseMeasurement) -> np.ndarray:
     """Position representation of the linear-scheme measurement operator."""
-    xs = grid.xs
-    return (np.pi ** (-0.25)
-            * np.exp(1j * meas.omega_kick * xs)
-            * np.exp(-0.5 * (meas.outcome - meas.chi * xs**2) ** 2))
+    return _kraus_rows(grid.xs, meas.chi, meas.omega_kick, meas.outcome)
 
 
 def dispersive_kraus_diagonal(grid: QuadratureGrid,
@@ -182,10 +182,13 @@ class OutcomeDistribution:
         return float(np.sum((self.q_axis - mu) ** k * self.pdf)
                      * self.dq / self._mass)
 
+    def quantile(self, u) -> np.ndarray:
+        """Inverse CDF at uniform variate(s) u."""
+        return np.interp(u, self._cdf, self.q_axis)
+
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         """Inverse-CDF draw; identical sequences for identical generators."""
-        u = rng.uniform(size=size)
-        return np.interp(u, self._cdf, self.q_axis)
+        return self.quantile(rng.uniform(size=size))
 
 
 def outcome_pdf(state: DensityMatrixGrid, chi: float,
@@ -222,28 +225,28 @@ def sample_outcome(state: DensityMatrixGrid, chi: float,
 # conditional and unconditional maps
 # ---------------------------------------------------------------------------
 
-def condition_exact(state: DensityMatrixGrid,
-                    meas: LinearPulseMeasurement) -> DensityMatrixGrid:
-    """Post-measurement state for one recorded outcome: U rho U^dag / P."""
-    u = linear_kraus_diagonal(state.grid, meas)
+def _conditioned(state: DensityMatrixGrid, u: np.ndarray, outcome: float):
+    """U rho U^dag / P for the Kraus diagonal u of one recorded outcome."""
     raw = u[:, None] * state.rho * np.conj(u)[None, :]
     prob = float(np.real(np.trace(raw)) * state.grid.dx)
     if prob <= MIN_EVENT_PROBABILITY:
         raise ConditioningError(
-            f"outcome {meas.outcome} has negligible probability {prob:.3e}")
+            f"outcome {outcome} has negligible probability {prob:.3e}")
     return DensityMatrixGrid(state.grid, raw / prob)
+
+
+def condition_exact(state: DensityMatrixGrid,
+                    meas: LinearPulseMeasurement) -> DensityMatrixGrid:
+    """Post-measurement state for one recorded outcome: U rho U^dag / P."""
+    return _conditioned(state, linear_kraus_diagonal(state.grid, meas),
+                        meas.outcome)
 
 
 def condition_dispersive(state: DensityMatrixGrid,
                          meas: DispersiveMeasurement) -> DensityMatrixGrid:
     """Same update for the dispersive operator."""
-    u = dispersive_kraus_diagonal(state.grid, meas)
-    raw = u[:, None] * state.rho * np.conj(u)[None, :]
-    prob = float(np.real(np.trace(raw)) * state.grid.dx)
-    if prob <= MIN_EVENT_PROBABILITY:
-        raise ConditioningError(
-            f"outcome {meas.outcome} has negligible probability {prob:.3e}")
-    return DensityMatrixGrid(state.grid, raw / prob)
+    return _conditioned(state, dispersive_kraus_diagonal(state.grid, meas),
+                        meas.outcome)
 
 
 def _window_kernel(xs: np.ndarray, chi: float, window: OutcomeWindow):
@@ -299,11 +302,8 @@ def condition_window_quadrature(state: DensityMatrixGrid, chi: float,
     """
     q_nodes = np.linspace(window.lo, window.hi, n_q)
     w = _simpson_weights(window.lo, window.hi, n_q)
-    vecs = np.stack([
-        linear_kraus_diagonal(state.grid,
-                              LinearPulseMeasurement(chi, omega_kick, q))
-        for q in q_nodes])
-    b = vecs * np.sqrt(w)[:, None]
+    b = _kraus_rows(state.grid.xs, chi, omega_kick, q_nodes) \
+        * np.sqrt(w)[:, None]
     kern = b.T @ b.conj()
     raw = state.rho * kern
     prob = float(np.real(np.trace(raw)) * state.grid.dx)
@@ -343,13 +343,11 @@ def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
     lo, hi = -pad, chi * grid.x_max**2 + pad
     q_nodes = np.linspace(lo, hi, n_q)
     w = _simpson_weights(lo, hi, n_q)
+    xs = grid.xs
     kern = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)
     for start in range(0, n_q, chunk):
-        qs = q_nodes[start:start + chunk]
-        vecs = np.stack([
-            linear_kraus_diagonal(grid, LinearPulseMeasurement(chi, omega_kick, q))
-            for q in qs])
-        b = vecs * np.sqrt(w[start:start + chunk])[:, None]
+        b = (_kraus_rows(xs, chi, omega_kick, q_nodes[start:start + chunk])
+             * np.sqrt(w[start:start + chunk])[:, None])
         kern += b.T @ b.conj()
     return DensityMatrixGrid(grid, state.rho * kern)
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,12 +32,12 @@ from scipy.ndimage import gaussian_filter1d
 
 from .errors import ConditioningError, DomainError, GridError, \
     ReconstructionWarning
-from .measurement import (LinearPulseMeasurement, OutcomeDistribution,
-                          OutcomeWindow, condition_exact, condition_window,
+from .measurement import (MIN_EVENT_PROBABILITY, OutcomeDistribution,
+                          OutcomeWindow, _kraus_rows, condition_window,
                           outcome_kernel, outcome_pdf)
-from .states import (DensityMatrixFock, DensityMatrixGrid, GaussianSpec,
-                     QuadratureGrid, default_grid, fock_to_grid, grid_to_fock,
-                     make_gaussian)
+from .states import (DEFAULT_FOCK_DIM, DensityMatrixFock, DensityMatrixGrid,
+                     GaussianSpec, QuadratureGrid, default_grid, fock_to_grid,
+                     grid_to_fock, make_gaussian)
 from .wigner import WignerGrid, negativity, wigner_transform
 
 __all__ = [
@@ -56,7 +55,10 @@ __all__ = [
     "summary_to_json",
 ]
 
-DEFAULT_FOCK_DIM = 128
+_BLOCK_RUNS = 256  # runs per block: bounds the block arrays to a few MB
+# product operands are zeroed below this: no double-precision result moves,
+# and the subnormal products it avoids slow the BLAS kernels several-fold
+_FLUSH_BELOW = 1e-150
 
 
 @dataclass(frozen=True)
@@ -79,8 +81,10 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise DomainError("n_runs must be >= 1")
-        if self.chi <= 0:
-            raise DomainError("chi must be positive")
+        if not (math.isfinite(self.chi) and self.chi > 0):
+            raise DomainError("chi must be finite and positive")
+        if not math.isfinite(self.omega_kick):
+            raise DomainError("omega_kick must be finite")
         angles = tuple(self.tomography_angles)
         if len(set(angles)) != len(angles):
             raise DomainError("tomography angles must be distinct")
@@ -94,7 +98,6 @@ class RunRecord:
 
     outcomes: list
     accepted: bool
-    final_state_ref: str | None = None
 
 
 @dataclass
@@ -184,15 +187,24 @@ def two_pulse_prepare(state: DensityMatrixGrid, chi: float, omega: float,
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def run_protocol(config: ProtocolConfig, grid: QuadratureGrid | None = None,
-                 threads: int = 1) -> ProtocolSummary:
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """Zero the entries below _FLUSH_BELOW in magnitude, in place."""
+    a[np.abs(a) < _FLUSH_BELOW] = 0.0
+    return a
+
+
+def run_protocol(config: ProtocolConfig,
+                 grid: QuadratureGrid | None = None) -> ProtocolSummary:
     """Monte-Carlo the preparation stage and summarize the accepted ensemble.
 
-    Per-run randomness comes from independent generators spawned from the
-    master seed (numpy SeedSequence.spawn), so results are reproducible and
-    independent of the number of worker threads: sampling is parallelizable,
-    while the accepted-state average is accumulated sequentially in run
-    order.  Zero acceptances produce an empty-ensemble summary, not an error.
+    Each run draws from its own generator spawned from the master seed, so
+    outcomes are reproducible run by run.  All maps are diagonal in position:
+    run k's state is rho_base o (b_k b_k^dag), b_k = U(q1) / sqrt(p1) on rho0
+    (one pulse) or U(q2) U(q1)[::-1] / sqrt(p1 p2) on flipped rho0 (two).
+    Per block of runs, one product with the outcome kernel gives the second-
+    outcome pdfs and one adds B^T B* to the mean.  Accepted outcomes of
+    probability <= MIN_EVENT_PROBABILITY raise ConditioningError, as in
+    condition_exact; zero acceptances give an empty-ensemble summary.
     """
     if grid is None:
         grid = default_grid()
@@ -200,63 +212,60 @@ def run_protocol(config: ProtocolConfig, grid: QuadratureGrid | None = None,
     chi, omega, window = config.chi, config.omega_kick, config.window
     dist0 = outcome_pdf(state0, chi)
     diag0 = state0.diagonal()
-    dx = grid.dx
-    kernel = outcome_kernel(dist0.q_axis, grid.xs, chi) if config.two_pulse \
-        else None
+    xs, dx = grid.xs, grid.dx
+    kernel = _flushed(outcome_kernel(dist0.q_axis, xs, chi)) \
+        if config.two_pulse else None
 
     master = np.random.SeedSequence(config.seed)
-    streams = master.spawn(config.n_runs)
-
-    def simulate(idx: int) -> RunRecord:
-        rng = np.random.Generator(np.random.PCG64(streams[idx]))
-        q1 = float(dist0.sample(rng))
-        if not config.two_pulse:
-            return RunRecord([q1], window.lo <= q1 <= window.hi)
-        u1_sq = np.exp(-((q1 - chi * grid.xs**2) ** 2)) / math.sqrt(math.pi)
-        diag1 = u1_sq * diag0
-        diag1 = diag1[::-1] / (diag1.sum() * dx)  # parity flip of the diagonal
-        pdf2 = kernel @ diag1 * dx
-        q2 = float(OutcomeDistribution(dist0.q_axis, pdf2).sample(rng))
-        accepted = (window.lo <= q1 <= window.hi
-                    and window.lo <= q2 <= window.hi)
-        return RunRecord([q1, q2], accepted)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(simulate, range(config.n_runs)))
-    else:
-        records = [simulate(i) for i in range(config.n_runs)]
+    records = []
+    mixture = np.zeros_like(state0.rho)  # sum of b_k b_k^dag, accepted k
+    for start in range(0, config.n_runs, _BLOCK_RUNS):
+        streams = master.spawn(min(_BLOCK_RUNS, config.n_runs - start))
+        u = np.array([np.random.Generator(np.random.PCG64(s))
+                      .uniform(size=1 + config.two_pulse) for s in streams])
+        q = dist0.quantile(u[:, :1])
+        rows = _kraus_rows(xs, chi, omega, q[:, 0])
+        raw1 = np.abs(rows) ** 2 * diag0
+        probs = raw1.sum(axis=1, keepdims=True) * dx
+        if config.two_pulse:
+            diag1 = _flushed(raw1[:, ::-1] / probs)  # parity-flipped
+            pdfs = diag1 @ kernel.T * dx
+            q2 = [OutcomeDistribution(dist0.q_axis, pdf).quantile(v)
+                  for pdf, v in zip(pdfs, u[:, 1])]
+            q = np.column_stack([q[:, 0], q2])
+        accepted = np.all((window.lo <= q) & (q <= window.hi), axis=1)
+        records += map(RunRecord, q.tolist(), accepted.tolist())
+        q, probs, b = q[accepted], probs[accepted], rows[accepted]
+        if config.two_pulse:
+            rows2 = _kraus_rows(xs, chi, omega, q[:, 1])
+            p2 = np.sum(np.abs(rows2) ** 2 * diag1[accepted], axis=1) * dx
+            probs = np.column_stack([probs[:, 0], p2])
+            b = rows2 * b[:, ::-1]
+        bad = np.flatnonzero(probs <= MIN_EVENT_PROBABILITY)  # run by run
+        if bad.size:
+            raise ConditioningError(f"outcome {q.flat[bad[0]]} has negligible "
+                                    f"probability {probs.flat[bad[0]]:.3e}")
+        b = _flushed(b / np.sqrt(np.prod(probs, axis=1))[:, None])
+        mixture += b.T @ b.conj()
 
     n_acc = sum(r.accepted for r in records)
     rate = n_acc / config.n_runs
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / config.n_runs)
 
-    if config.two_pulse:
-        _, closed_form, _ = two_pulse_prepare(state0, chi, omega, window)
-    else:
-        try:
-            _, closed_form = condition_window(state0, chi, omega, window)
-        except ConditioningError:
-            closed_form = 0.0
+    try:
+        if config.two_pulse:
+            closed_form = two_pulse_prepare(state0, chi, omega, window)[1]
+        else:
+            closed_form = condition_window(state0, chi, omega, window)[1]
+    except ConditioningError:
+        closed_form = 0.0
 
     mean_state = None
     w_min = w_vol = None
     tomo_wigner = tomo_report = None
     if n_acc:
-        acc = np.zeros_like(state0.rho)
-        for rec in records:
-            if not rec.accepted:
-                continue
-            st = condition_exact(state0,
-                                 LinearPulseMeasurement(chi, omega,
-                                                        rec.outcomes[0]))
-            if config.two_pulse:
-                st = rotate_half_period(st)
-                st = condition_exact(st,
-                                     LinearPulseMeasurement(chi, omega,
-                                                            rec.outcomes[1]))
-            acc += st.rho
-        mean_state = DensityMatrixGrid(grid, acc / n_acc)
+        base = state0.rho[::-1, ::-1] if config.two_pulse else state0.rho
+        mean_state = DensityMatrixGrid(grid, base * mixture / n_acc)
         w_min, w_vol = negativity(wigner_transform(mean_state))
         if config.tomography_angles:
             tomo_rng = np.random.Generator(np.random.PCG64(master.spawn(1)[0]))

@@ -374,11 +374,6 @@ def diagonal_to_csv(state: DensityMatrixGrid, path) -> None:
             fh.write(f"{x:.12g},{d:.12g}\n")
 
 
-def grid_to_json(grid: QuadratureGrid) -> dict:
-    return {"x_min": grid.x_min, "x_max": grid.x_max,
-            "n_points": grid.n_points}
-
-
 def grid_from_json(obj: dict) -> QuadratureGrid:
     if "x_max" not in obj or "n_points" not in obj:
         raise GridError("grid object needs x_max and n_points")

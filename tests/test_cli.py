@@ -158,6 +158,19 @@ def test_protocol_seed_flag_overrides_config(tmp_path):
     assert base["acceptance_rate"] != override["acceptance_rate"]
 
 
+@pytest.mark.parametrize("cfg, named", [
+    ({"window": {"center": math.nan, "width": 0.8}}, "config.window"),
+    ({"chi": math.nan}, "chi"),
+    ({"omega_kick": math.inf}, "omega_kick"),
+], ids=["window", "chi", "omega_kick"])
+def test_protocol_non_finite_input_exit_2(tmp_path, capsys, cfg, named):
+    base = {"initial": {"kind": "ground"}, "chi": 1.0,
+            "window": {"center": 1.5, "width": 0.8}, "n_runs": 10, "seed": 5}
+    code, _ = run(tmp_path, "protocol", {**base, **cfg})
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_verify_subset_passes(tmp_path):
     cfg = {"checks": ["physical_separation", "rethermalization"]}
     code, out = run(tmp_path, "verify", cfg)

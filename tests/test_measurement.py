@@ -9,6 +9,8 @@ are analytic: for a centered Gaussian with Var(X) = s2,
     third central moment = 8 chi^3 s2^3.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -289,3 +291,10 @@ def test_invalid_measurement_parameters():
         M.OutcomeWindow(1.0, 0.0)
     with pytest.raises(DomainError):
         M.DispersiveMeasurement(chi_sq=-1.0)
+
+
+@pytest.mark.parametrize("center, width", [(1.0, math.nan), (math.nan, 1.0),
+                                           (math.inf, 1.0), (1.0, math.inf)])
+def test_window_rejects_non_finite(center, width):
+    with pytest.raises(DomainError, match="finite"):
+        M.OutcomeWindow(center, width)

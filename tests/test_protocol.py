@@ -147,12 +147,47 @@ def test_summary_is_bit_reproducible():
         assert np.array_equal(a.mean_state.rho, b.mean_state.rho)
 
 
-def test_threads_do_not_change_results():
-    a = PR.run_protocol(config())
-    b = PR.run_protocol(config(), threads=4)
-    assert a.acceptance_rate == b.acceptance_rate
-    assert [r.outcomes for r in a.records] == [r.outcomes for r in b.records]
-    assert np.array_equal(a.mean_state.rho, b.mean_state.rho)
+def reference_protocol(cfg, grid):
+    """Per-run loop: condition on each outcome, flip, sample and condition
+    again; returns acceptance flags, outcomes and accepted-ensemble mean."""
+    state0 = states.make_gaussian(grid, cfg.initial)
+    dist0 = M.outcome_pdf(state0, cfg.chi)
+    kernel = M.outcome_kernel(dist0.q_axis, grid.xs, cfg.chi)
+    lo, hi = cfg.window.lo, cfg.window.hi
+    flags, outcomes, total = [], [], np.zeros_like(state0.rho)
+    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_runs):
+        rng = np.random.Generator(np.random.PCG64(stream))
+        qs = [float(dist0.sample(rng))]
+        st = M.condition_exact(
+            state0, M.LinearPulseMeasurement(cfg.chi, cfg.omega_kick, qs[0]))
+        if cfg.two_pulse:
+            st = PR.rotate_half_period(st)
+            pdf = kernel @ st.diagonal() * grid.dx
+            qs.append(float(M.OutcomeDistribution(dist0.q_axis,
+                                                  pdf).sample(rng)))
+            st = M.condition_exact(
+                st, M.LinearPulseMeasurement(cfg.chi, cfg.omega_kick, qs[1]))
+        flags.append(all(lo <= q <= hi for q in qs))
+        outcomes.append(qs)
+        if flags[-1]:
+            total += st.rho
+    return flags, np.array(outcomes), total / sum(flags)
+
+
+@pytest.mark.parametrize("two_pulse", [False, True],
+                         ids=["single_pulse", "two_pulse"])
+def test_engine_matches_per_run_reference(two_pulse):
+    # coarse grid keeps the reference loop fast; 600 runs span three blocks
+    grid = states.QuadratureGrid(-8.0, 8.0, 128)
+    cfg = config(two_pulse=two_pulse, omega_kick=1.5, n_runs=600, seed=21,
+                 window=window(1.5, 1.2))
+    summary = PR.run_protocol(cfg, grid=grid)
+    flags, outcomes, mean = reference_protocol(cfg, grid)
+    assert [r.accepted for r in summary.records] == flags
+    got = np.array([r.outcomes for r in summary.records])
+    assert np.array_equal(got[:, 0], outcomes[:, 0])
+    assert np.max(np.abs(got - outcomes)) <= 1e-12
+    assert np.max(np.abs(summary.mean_state.rho - mean)) <= 1e-12
 
 
 def test_acceptance_tracks_closed_form():
@@ -170,9 +205,11 @@ def test_mixture_matches_windowed_state(grid, ground):
     assert trace_distance < 3.0 / math.sqrt(summary.n_accepted)
 
 
-def test_empty_ensemble_reports_not_raises():
+@pytest.mark.parametrize("two_pulse", [False, True],
+                         ids=["single_pulse", "two_pulse"])
+def test_empty_ensemble_reports_not_raises(two_pulse):
     summary = PR.run_protocol(config(window=M.OutcomeWindow(50.0, 0.1),
-                                     n_runs=64))
+                                     n_runs=64, two_pulse=two_pulse))
     assert summary.n_accepted == 0
     assert summary.mean_state is None
     assert summary.wigner_min is None
@@ -182,7 +219,7 @@ def test_empty_ensemble_reports_not_raises():
 def test_two_pulse_monte_carlo_consistency():
     cfg = config(two_pulse=True, omega_kick=2.0, n_runs=4000, seed=9,
                  window=window(1.5, 1.2))
-    summary = PR.run_protocol(cfg, threads=2)
+    summary = PR.run_protocol(cfg)
     p0 = summary.closed_form_probability
     se = math.sqrt(p0 * (1 - p0) / cfg.n_runs)
     assert abs(summary.acceptance_rate - p0) < 4 * se
@@ -196,6 +233,15 @@ def test_config_validation():
         config(tomography_angles=(0.0, 0.0))
     with pytest.raises(DomainError):
         config(tomography_angles=(0.0, 3.5))
+
+
+@pytest.mark.parametrize("field, value", [("chi", math.nan),
+                                          ("chi", math.inf),
+                                          ("omega_kick", math.nan),
+                                          ("omega_kick", -math.inf)])
+def test_config_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match=field):
+        config(**{field: value})
 
 
 def test_config_driven_tomography():
