@@ -45,15 +45,29 @@ def _load_config(path) -> dict:
     return cfg
 
 
-def _require(cfg: dict, name: str, kind, where: str = "config"):
+def _parsed(where: str, build, *args, **kwargs):
+    """build(*args, **kwargs); a package error becomes a ConfigError."""
+    try:
+        return build(*args, **kwargs)
+    except OptomechError as exc:
+        raise ConfigError(f"{where}: {exc}")
+
+
+def _require(cfg: dict, name: str, kind, where: str = "config",
+             default=None):
+    """cfg[name] as a finite float or an int; default (None: required)."""
     if name not in cfg:
-        raise ConfigError(f"{where}.{name} is required")
+        if default is None:
+            raise ConfigError(f"{where}.{name} is required")
+        return default
     val = cfg[name]
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool):
         raise ConfigError(f"{where}.{name} must be of type {kind.__name__}, "
                           f"got {type(val).__name__}")
+    if kind is float and not math.isfinite(val):
+        raise ConfigError(f"{where}.{name} must be finite, got {val!r}")
     return val
 
 
@@ -61,26 +75,19 @@ def _grid_from(cfg: dict) -> st.QuadratureGrid:
     obj = cfg.get("grid", {})
     if not isinstance(obj, dict):
         raise ConfigError("config.grid must be an object")
-    try:
-        if not obj:
-            return st.default_grid()
-        return st.grid_from_json(obj)
-    except OptomechError as exc:
-        raise ConfigError(f"config.grid: {exc}")
+    if not obj:
+        return st.default_grid()
+    return _parsed("config.grid", st.grid_from_json, obj)
 
 
 def _spec_from(cfg: dict, key: str = "state") -> st.GaussianSpec:
     obj = cfg.get(key)
     if not isinstance(obj, dict):
         raise ConfigError(f"config.{key} must be an object")
-    kind = obj.get("kind", "ground")
-    try:
-        return st.GaussianSpec(kind=kind, nbar=float(obj.get("nbar", 0.0)),
-                               r=float(obj.get("r", 0.0)),
-                               mean_x=float(obj.get("mean_x", 0.0)),
-                               mean_p=float(obj.get("mean_p", 0.0)))
-    except (OptomechError, TypeError, ValueError) as exc:
-        raise ConfigError(f"config.{key}: {exc}")
+    fields = {name: _require(obj, name, float, f"config.{key}", 0.0)
+              for name in ("nbar", "r", "mean_x", "mean_p")}
+    return _parsed(f"config.{key}", st.GaussianSpec,
+                   kind=obj.get("kind", "ground"), **fields)
 
 
 def _window_from(cfg: dict, required: bool = False):
@@ -91,13 +98,9 @@ def _window_from(cfg: dict, required: bool = False):
         return None
     if not isinstance(obj, dict):
         raise ConfigError("config.window must be an object")
-    try:
-        return ms.OutcomeWindow(float(_require(obj, "center", float,
-                                               "config.window")),
-                                float(_require(obj, "width", float,
-                                               "config.window")))
-    except OptomechError as exc:
-        raise ConfigError(f"config.window: {exc}")
+    return _parsed("config.window", ms.OutcomeWindow,
+                   _require(obj, "center", float, "config.window"),
+                   _require(obj, "width", float, "config.window"))
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -109,21 +112,8 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_params(cfg: dict, out: Path, seed) -> int:
-    sys_obj = cfg.get("system")
-    if not isinstance(sys_obj, dict):
-        raise ConfigError("config.system is required (object of SI fields)")
-    known = set(pm.SystemParams.__dataclass_fields__)
-    unknown = set(sys_obj) - known
-    if unknown:
-        raise ConfigError(f"config.system has unknown fields {sorted(unknown)}")
-    for name in ("wavelength", "mass", "omega_m", "finesse", "photon_number",
-                 "cavity_length"):
-        _require(sys_obj, name, float, "config.system")
-    try:
-        system = pm.SystemParams(**{k: float(v) for k, v in sys_obj.items()})
-        derived = pm.derive(system)
-    except OptomechError as exc:
-        raise ConfigError(f"config.system: {exc}")
+    system = _parsed("config.system", pm.system_from_dict, cfg.get("system"))
+    derived = _parsed("config.system", pm.derive, system)
     _write(out, "params.json", pm.derived_to_json(derived) + "\n")
     _write(out, "params.txt", pm.format_table(system, derived))
     return 0
@@ -145,10 +135,10 @@ def cmd_measure(cfg: dict, out: Path, seed) -> int:
     grid = _grid_from(cfg)
     state = st.make_gaussian(grid, _spec_from(cfg))
     chi = _require(cfg, "chi", float)
-    omega = float(cfg.get("omega_kick", 0.0))
+    omega = _require(cfg, "omega_kick", float, default=0.0)
     window = _window_from(cfg)
-    dist = ms.outcome_pdf(state, chi,
-                          n_outcomes=int(cfg.get("n_outcomes", 2048)))
+    dist = ms.outcome_pdf(state, chi, n_outcomes=_require(
+        cfg, "n_outcomes", int, default=ms.DEFAULT_N_OUTCOMES))
     ms.pdf_to_csv(dist, out / "pdf.csv")
     doc = {"chi": chi, "omega": omega, "outcome_mean": dist.mean(),
            "outcome_variance": dist.central_moment(2), "window": None,
@@ -171,7 +161,7 @@ def cmd_wigner(cfg: dict, out: Path, seed) -> int:
     label = cfg.get("label", mode)
     if mode != "initial":
         chi = _require(cfg, "chi", float)
-        omega = float(cfg.get("omega_kick", 0.0))
+        omega = _require(cfg, "omega_kick", float, default=0.0)
         if mode == "conditioned":
             window = _window_from(cfg, required=True)
             state, _ = ms.condition_window(state, chi, omega, window)
@@ -184,7 +174,7 @@ def cmd_wigner(cfg: dict, out: Path, seed) -> int:
 
 
 def cmd_pulse(cfg: dict, out: Path, seed) -> int:
-    kappa = float(cfg.get("kappa", 1.0))
+    kappa = _require(cfg, "kappa", float, default=1.0)
     n_p = _require(cfg, "photon_number", float)
     g_lin = _require(cfg, "g_lin", float)
     kind = cfg.get("spectrum", "square_optimal")
@@ -212,33 +202,30 @@ def cmd_protocol(cfg: dict, out: Path, seed) -> int:
     grid = _grid_from(cfg)
     window = _window_from(cfg, required=True)
     chi = _require(cfg, "chi", float)
-    run_seed = int(seed if seed is not None else cfg.get("seed", 0))
+    run_seed = seed if seed is not None else _require(cfg, "seed", int,
+                                                      default=0)
     nbar_over_q = None
-    if isinstance(cfg.get("system"), dict):
-        sys_par = pm.SystemParams(**{k: float(v)
-                                     for k, v in cfg["system"].items()})
-        nbar_over_q = (pm.thermal_occupation(sys_par.temperature,
-                                             sys_par.omega_m)
-                       / sys_par.quality_factor)
+    if "system" in cfg:
+        system = _parsed("config.system", pm.system_from_dict, cfg["system"])
+        nbar_over_q = _parsed("config.system", pm.derive, system).nbar_over_q
     tomo = cfg.get("tomography")
     angles, spa, chi_p = (), 0, 10.0
     if tomo is not None:
         if not isinstance(tomo, dict):
             raise ConfigError("config.tomography must be an object")
-        n_angles = int(tomo.get("n_angles", 16))
+        n_angles = _require(tomo, "n_angles", int, "config.tomography", 16)
         angles = tuple(k * math.pi / n_angles for k in range(n_angles))
-        spa = int(tomo.get("samples_per_angle", 100_000))
-        chi_p = float(tomo.get("chi_p", 10.0))
-    try:
-        config = pr.ProtocolConfig(
-            initial=_spec_from(cfg, "initial"), chi=chi, window=window,
-            n_runs=int(_require(cfg, "n_runs", int)), seed=run_seed,
-            omega_kick=float(cfg.get("omega_kick", 0.0)),
-            two_pulse=bool(cfg.get("two_pulse", False)),
-            tomography_angles=angles, samples_per_angle=spa,
-            tomography_chi_p=chi_p, nbar_over_q=nbar_over_q)
-    except OptomechError as exc:
-        raise ConfigError(str(exc))
+        spa = _require(tomo, "samples_per_angle", int, "config.tomography",
+                       100_000)
+        chi_p = _require(tomo, "chi_p", float, "config.tomography", 10.0)
+    config = _parsed(
+        "config", pr.ProtocolConfig,
+        initial=_spec_from(cfg, "initial"), chi=chi, window=window,
+        n_runs=_require(cfg, "n_runs", int), seed=run_seed,
+        omega_kick=_require(cfg, "omega_kick", float, default=0.0),
+        two_pulse=bool(cfg.get("two_pulse", False)),
+        tomography_angles=angles, samples_per_angle=spa,
+        tomography_chi_p=chi_p, nbar_over_q=nbar_over_q)
     summary = pr.run_protocol(config, grid=grid)
     pr.records_to_jsonl(summary.records, out / "runs.jsonl")
     _write(out, "summary.json", pr.summary_to_json(summary) + "\n")

@@ -113,33 +113,53 @@ class OutcomeWindow:
         return self.center + 0.5 * self.width
 
 
-def _kraus_rows(xs: np.ndarray, chi: float, omega_kick: float, outcomes):
-    """Linear-scheme Kraus diagonals U(x; q): shape (n,) for one outcome,
-    (m, n) for an array of m outcomes."""
+# product operands are zeroed below this: no double-precision result moves,
+# and the subnormal products it avoids slow the BLAS kernels several-fold
+_FLUSH_BELOW = 1e-150
+
+
+def _flushed(a: np.ndarray) -> np.ndarray:
+    """Zero the entries below _FLUSH_BELOW in magnitude, in place."""
+    a[np.abs(a) < _FLUSH_BELOW] = 0.0
+    return a
+
+
+def _envelopes(xs: np.ndarray, chi: float, outcomes):
+    """Moduli |U(x; q)| of the linear-scheme Kraus diagonals: shape (n,) for
+    one outcome, (m, n) for an array of m outcomes."""
     q = np.asarray(outcomes, dtype=float)[..., None]
-    return (np.pi ** (-0.25)
-            * np.exp(1j * omega_kick * xs)
-            * np.exp(-0.5 * (q - chi * xs**2) ** 2))
+    return np.pi ** (-0.25) * np.exp(-0.5 * (q - chi * xs**2) ** 2)
+
+
+def _gram(env: np.ndarray) -> np.ndarray:
+    """E^T E of real rows E, flushed in place first (a.T @ a runs as syrk).
+    The kick phase of U(x; q) is q-independent, so B^T B* = phase o E^T E."""
+    _flushed(env)
+    return env.T @ env
+
+
+def _kick_phase(phase: np.ndarray) -> np.ndarray:
+    """Outer product phase (x) phase*: the kick factor e^{i w (x - x')}."""
+    return phase[:, None] * np.conj(phase)[None, :]
 
 
 def linear_kraus_diagonal(grid: QuadratureGrid,
                           meas: LinearPulseMeasurement) -> np.ndarray:
     """Position representation of the linear-scheme measurement operator."""
-    return _kraus_rows(grid.xs, meas.chi, meas.omega_kick, meas.outcome)
+    return (np.exp(1j * meas.omega_kick * grid.xs)
+            * _envelopes(grid.xs, meas.chi, meas.outcome))
 
 
 def dispersive_kraus_diagonal(grid: QuadratureGrid,
                               meas: DispersiveMeasurement) -> np.ndarray:
     """Position representation of the dispersive measurement operator.
 
-    Note the signs: the Gaussian argument is (outcome + chi_sq x^2), so large
-    negative outcomes play the role positive ones do in the linear scheme,
-    and the kick phase is exp(-i omega_sq x_in x).
+    Note the signs: the Gaussian argument is (outcome + chi_sq x^2), the
+    linear envelope at strength -chi_sq, so large negative outcomes play the
+    role positive ones do there, and the kick phase is exp(-i omega_sq x_in x).
     """
-    xs = grid.xs
-    return (np.pi ** (-0.25)
-            * np.exp(-1j * meas.omega_sq * meas.x_in * xs)
-            * np.exp(-0.5 * (meas.outcome + meas.chi_sq * xs**2) ** 2))
+    return (np.exp(-1j * meas.omega_sq * meas.x_in * grid.xs)
+            * _envelopes(grid.xs, -meas.chi_sq, meas.outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +245,19 @@ def sample_outcome(state: DensityMatrixGrid, chi: float,
 # conditional and unconditional maps
 # ---------------------------------------------------------------------------
 
-def _conditioned(state: DensityMatrixGrid, u: np.ndarray, outcome: float):
-    """U rho U^dag / P for the Kraus diagonal u of one recorded outcome."""
-    raw = u[:, None] * state.rho * np.conj(u)[None, :]
+def _normalized(state: DensityMatrixGrid, raw: np.ndarray, event: str):
+    """(raw / P, P) with P = Tr raw; negligible P raises ConditioningError."""
     prob = float(np.real(np.trace(raw)) * state.grid.dx)
     if prob <= MIN_EVENT_PROBABILITY:
         raise ConditioningError(
-            f"outcome {outcome} has negligible probability {prob:.3e}")
-    return DensityMatrixGrid(state.grid, raw / prob)
+            f"{event} has negligible probability {prob:.3e}")
+    return DensityMatrixGrid(state.grid, raw / prob), prob
+
+
+def _conditioned(state: DensityMatrixGrid, u: np.ndarray, outcome: float):
+    """U rho U^dag / P for the Kraus diagonal u of one recorded outcome."""
+    raw = u[:, None] * state.rho * np.conj(u)[None, :]
+    return _normalized(state, raw, f"outcome {outcome}")[0]
 
 
 def condition_exact(state: DensityMatrixGrid,
@@ -249,19 +274,6 @@ def condition_dispersive(state: DensityMatrixGrid,
                         meas.outcome)
 
 
-def _window_kernel(xs: np.ndarray, chi: float, window: OutcomeWindow):
-    """Closed-form integral of U(q) (x) U^*(q) over the outcome window.
-
-    Writing m = chi (x^2 + x'^2)/2 and d = chi (x^2 - x'^2)/2, the product of
-    the two outcome Gaussians is exp(-(q - m)^2 - d^2), so the q integral is
-    an erf difference times the coherence-damping factor exp(-d^2).
-    """
-    sq = chi * xs**2
-    m = 0.5 * (sq[:, None] + sq[None, :])
-    d = 0.5 * (sq[:, None] - sq[None, :])
-    return 0.5 * np.exp(-d * d) * (erf(window.hi - m) - erf(window.lo - m))
-
-
 def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
                      window: OutcomeWindow):
     """Windowed post-selected state and its acceptance probability.
@@ -269,18 +281,20 @@ def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
     Returns (rho_w, P_w) where rho_w is the normalized mixture of conditional
     states over outcomes in the window and P_w the window probability.
     chi = 0 degenerates to pure kinematics (kick phase only).
+
+    Writing m = chi (x^2 + x'^2)/2 and d = chi (x^2 - x'^2)/2, the product of
+    the two outcome Gaussians U(q) U*(q) is exp(-(q - m)^2 - d^2), so the
+    window integral is an erf difference times the damping factor exp(-d^2).
     """
     if chi < 0:
         raise DomainError("chi must be non-negative")
     xs = state.grid.xs
-    kern = _window_kernel(xs, chi, window)
-    phase = np.exp(1j * omega_kick * xs)
-    raw = state.rho * kern * (phase[:, None] * np.conj(phase)[None, :])
-    prob = float(np.real(np.trace(raw)) * state.grid.dx)
-    if prob <= MIN_EVENT_PROBABILITY:
-        raise ConditioningError(
-            f"window {window} has negligible probability {prob:.3e}")
-    return DensityMatrixGrid(state.grid, raw / prob), prob
+    sq = chi * xs**2
+    m = 0.5 * (sq[:, None] + sq[None, :])
+    d = 0.5 * (sq[:, None] - sq[None, :])
+    kern = 0.5 * np.exp(-d * d) * (erf(window.hi - m) - erf(window.lo - m))
+    raw = state.rho * kern * _kick_phase(np.exp(1j * omega_kick * xs))
+    return _normalized(state, raw, f"window {window}")
 
 
 def _simpson_weights(a: float, b: float, n: int) -> np.ndarray:
@@ -292,25 +306,33 @@ def _simpson_weights(a: float, b: float, n: int) -> np.ndarray:
     return w * (b - a) / (n - 1) / 3.0
 
 
+def _simpson_gram(xs: np.ndarray, chi: float, lo: float, hi: float, n_q: int,
+                  chunk: int = 512) -> np.ndarray:
+    """sum_k w_k |U(x; q_k)| |U(x'; q_k)| over n_q Simpson nodes on [lo, hi],
+    chunk nodes per product, accumulated in a real kernel."""
+    q_nodes = np.linspace(lo, hi, n_q)
+    w = _simpson_weights(lo, hi, n_q)
+    kern = np.zeros((xs.size, xs.size))
+    for start in range(0, n_q, chunk):
+        kern += _gram(_envelopes(xs, chi, q_nodes[start:start + chunk])
+                      * np.sqrt(w[start:start + chunk])[:, None])
+    return kern
+
+
 def condition_window_quadrature(state: DensityMatrixGrid, chi: float,
                                 omega_kick: float, window: OutcomeWindow,
                                 n_q: int = 201):
     """Quadrature oracle for condition_window: explicit Simpson sum over q.
 
-    Deliberately built from the Kraus vectors themselves rather than the
-    closed-form kernel, so the two paths are independent.
+    The kernel is sum_k w_k U(x; q_k) U*(x'; q_k) over n_q Simpson nodes,
+    summed over the Kraus moduli, not the closed-form erf kernel, so the two
+    q integrals stay independent; only the q-independent kick phase
+    e^{i w (x - x')} is shared, as a factor outside the sum.
     """
-    q_nodes = np.linspace(window.lo, window.hi, n_q)
-    w = _simpson_weights(window.lo, window.hi, n_q)
-    b = _kraus_rows(state.grid.xs, chi, omega_kick, q_nodes) \
-        * np.sqrt(w)[:, None]
-    kern = b.T @ b.conj()
-    raw = state.rho * kern
-    prob = float(np.real(np.trace(raw)) * state.grid.dx)
-    if prob <= MIN_EVENT_PROBABILITY:
-        raise ConditioningError(
-            f"window {window} has negligible probability {prob:.3e}")
-    return DensityMatrixGrid(state.grid, raw / prob), prob
+    xs = state.grid.xs
+    kern = _simpson_gram(xs, chi, window.lo, window.hi, n_q) \
+        * _kick_phase(np.exp(1j * omega_kick * xs))
+    return _normalized(state, state.rho * kern, f"window {window}")
 
 
 def uncondition(state: DensityMatrixGrid, chi: float,
@@ -325,8 +347,7 @@ def uncondition(state: DensityMatrixGrid, chi: float,
     xs = state.grid.xs
     sq = chi * xs**2
     d = 0.5 * (sq[:, None] - sq[None, :])
-    phase = np.exp(1j * omega_kick * xs)
-    rho = state.rho * np.exp(-d * d) * (phase[:, None] * np.conj(phase)[None, :])
+    rho = state.rho * np.exp(-d * d) * _kick_phase(np.exp(1j * omega_kick * xs))
     return DensityMatrixGrid(state.grid, rho)
 
 
@@ -338,18 +359,13 @@ def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
 
     The outcome range [-pad, chi x_max^2 + pad] leaves sub-1e-12 Gaussian
     tails; n_q = 16001 puts the composite-Simpson error safely below 1e-9.
+    The sum runs over the Kraus moduli, chunk nodes at a time, not over the
+    closed form's exp(-d^2); only the q-independent kick phase is shared.
     """
-    grid = state.grid
-    lo, hi = -pad, chi * grid.x_max**2 + pad
-    q_nodes = np.linspace(lo, hi, n_q)
-    w = _simpson_weights(lo, hi, n_q)
-    xs = grid.xs
-    kern = np.zeros((grid.n_points, grid.n_points), dtype=np.complex128)
-    for start in range(0, n_q, chunk):
-        b = (_kraus_rows(xs, chi, omega_kick, q_nodes[start:start + chunk])
-             * np.sqrt(w[start:start + chunk])[:, None])
-        kern += b.T @ b.conj()
-    return DensityMatrixGrid(grid, state.rho * kern)
+    xs = state.grid.xs
+    kern = _simpson_gram(xs, chi, -pad, chi * state.grid.x_max**2 + pad, n_q,
+                         chunk) * _kick_phase(np.exp(1j * omega_kick * xs))
+    return DensityMatrixGrid(state.grid, state.rho * kern)
 
 
 # ---------------------------------------------------------------------------

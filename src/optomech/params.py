@@ -39,6 +39,7 @@ __all__ = [
     "thermal_occupation",
     "cavity_shift_after_kick",
     "derive",
+    "system_from_dict",
     "load_system_params",
     "derived_to_json",
     "format_table",
@@ -78,9 +79,9 @@ class SystemParams:
         for name in ("wavelength", "mass", "omega_m", "finesse",
                      "photon_number", "cavity_length", "temperature",
                      "quality_factor"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be strictly positive, got "
-                                  f"{getattr(self, name)!r}")
+            if not 0 < getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and strictly "
+                                  f"positive, got {getattr(self, name)!r}")
         if not 0.0 <= self.reflectivity < 1.0:
             raise DomainError(f"reflectivity must lie in [0, 1), got "
                               f"{self.reflectivity!r}")
@@ -276,14 +277,12 @@ def derive(params: SystemParams) -> DerivedParams:
 # external interface: JSON in, JSON + aligned text table out
 # ---------------------------------------------------------------------------
 
-def load_system_params(path) -> SystemParams:
-    """Read a SystemParams JSON file (SI-unit fields named as in the class)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+def system_from_dict(raw) -> SystemParams:
+    """SystemParams from a JSON object; DomainError names any bad field."""
     if not isinstance(raw, dict):
-        raise DomainError("parameter file must contain a JSON object")
-    known = set(SystemParams.__dataclass_fields__)
-    unknown = set(raw) - known
+        raise DomainError("system parameters must be a JSON object of "
+                          "SI-unit fields")
+    unknown = set(raw) - set(SystemParams.__dataclass_fields__)
     if unknown:
         raise DomainError(f"unknown parameter fields: {sorted(unknown)}")
     missing = {"wavelength", "mass", "omega_m", "finesse", "photon_number",
@@ -293,7 +292,13 @@ def load_system_params(path) -> SystemParams:
     for key, val in raw.items():
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise DomainError(f"field {key!r} must be a number, got {val!r}")
-    return SystemParams(**raw)
+    return SystemParams(**{k: float(v) for k, v in raw.items()})
+
+
+def load_system_params(path) -> SystemParams:
+    """Read a SystemParams JSON file (SI-unit fields named as in the class)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return system_from_dict(json.load(fh))
 
 
 def derived_to_json(derived: DerivedParams, indent=2) -> str:

@@ -33,8 +33,9 @@ from scipy.ndimage import gaussian_filter1d
 from .errors import ConditioningError, DomainError, GridError, \
     ReconstructionWarning
 from .measurement import (MIN_EVENT_PROBABILITY, OutcomeDistribution,
-                          OutcomeWindow, _kraus_rows, condition_window,
-                          outcome_kernel, outcome_pdf)
+                          OutcomeWindow, _envelopes, _flushed, _gram,
+                          _kick_phase, condition_window, outcome_kernel,
+                          outcome_pdf)
 from .states import (DEFAULT_FOCK_DIM, DensityMatrixFock, DensityMatrixGrid,
                      GaussianSpec, QuadratureGrid, default_grid, fock_to_grid,
                      grid_to_fock, make_gaussian)
@@ -56,9 +57,6 @@ __all__ = [
 ]
 
 _BLOCK_RUNS = 256  # runs per block: bounds the block arrays to a few MB
-# product operands are zeroed below this: no double-precision result moves,
-# and the subnormal products it avoids slow the BLAS kernels several-fold
-_FLUSH_BELOW = 1e-150
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,8 @@ def momentum_kick(state: DensityMatrixGrid, omega: float) -> DensityMatrixGrid:
     if abs(omega) > np.pi / state.grid.dx:
         raise GridError(f"kick {omega} exceeds the grid momentum Nyquist "
                         f"{np.pi / state.grid.dx:.2f}")
-    phase = np.exp(1j * omega * state.grid.xs)
-    return DensityMatrixGrid(state.grid,
-                             state.rho * np.outer(phase, phase.conj()))
+    return DensityMatrixGrid(
+        state.grid, state.rho * _kick_phase(np.exp(1j * omega * state.grid.xs)))
 
 
 def rotate_half_period(state: DensityMatrixGrid) -> DensityMatrixGrid:
@@ -187,12 +184,6 @@ def two_pulse_prepare(state: DensityMatrixGrid, chi: float, omega: float,
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
-def _flushed(a: np.ndarray) -> np.ndarray:
-    """Zero the entries below _FLUSH_BELOW in magnitude, in place."""
-    a[np.abs(a) < _FLUSH_BELOW] = 0.0
-    return a
-
-
 def run_protocol(config: ProtocolConfig,
                  grid: QuadratureGrid | None = None) -> ProtocolSummary:
     """Monte-Carlo the preparation stage and summarize the accepted ensemble.
@@ -201,8 +192,11 @@ def run_protocol(config: ProtocolConfig,
     outcomes are reproducible run by run.  All maps are diagonal in position:
     run k's state is rho_base o (b_k b_k^dag), b_k = U(q1) / sqrt(p1) on rho0
     (one pulse) or U(q2) U(q1)[::-1] / sqrt(p1 p2) on flipped rho0 (two).
+    Every b_k is phi e_k with one outcome-independent kick phase phi
+    (e^{i w x}, or e^{i w x} e^{i w x}[::-1] for two pulses) and real
+    moduli e_k, so the mean is rho_base o (phi phi^dag) o (E^T E) / n_acc.
     Per block of runs, one product with the outcome kernel gives the second-
-    outcome pdfs and one adds B^T B* to the mean.  Accepted outcomes of
+    outcome pdfs and one real E^T E adds to the mean.  Accepted outcomes of
     probability <= MIN_EVENT_PROBABILITY raise ConditioningError, as in
     condition_exact; zero acceptances give an empty-ensemble summary.
     """
@@ -218,14 +212,14 @@ def run_protocol(config: ProtocolConfig,
 
     master = np.random.SeedSequence(config.seed)
     records = []
-    mixture = np.zeros_like(state0.rho)  # sum of b_k b_k^dag, accepted k
+    mixture = np.zeros(state0.rho.shape)  # sum of e_k e_k^T, accepted k
     for start in range(0, config.n_runs, _BLOCK_RUNS):
         streams = master.spawn(min(_BLOCK_RUNS, config.n_runs - start))
         u = np.array([np.random.Generator(np.random.PCG64(s))
                       .uniform(size=1 + config.two_pulse) for s in streams])
         q = dist0.quantile(u[:, :1])
-        rows = _kraus_rows(xs, chi, omega, q[:, 0])
-        raw1 = np.abs(rows) ** 2 * diag0
+        rows = _envelopes(xs, chi, q[:, 0])
+        raw1 = rows**2 * diag0
         probs = raw1.sum(axis=1, keepdims=True) * dx
         if config.two_pulse:
             diag1 = _flushed(raw1[:, ::-1] / probs)  # parity-flipped
@@ -237,16 +231,15 @@ def run_protocol(config: ProtocolConfig,
         records += map(RunRecord, q.tolist(), accepted.tolist())
         q, probs, b = q[accepted], probs[accepted], rows[accepted]
         if config.two_pulse:
-            rows2 = _kraus_rows(xs, chi, omega, q[:, 1])
-            p2 = np.sum(np.abs(rows2) ** 2 * diag1[accepted], axis=1) * dx
+            rows2 = _envelopes(xs, chi, q[:, 1])
+            p2 = np.sum(rows2**2 * diag1[accepted], axis=1) * dx
             probs = np.column_stack([probs[:, 0], p2])
             b = rows2 * b[:, ::-1]
         bad = np.flatnonzero(probs <= MIN_EVENT_PROBABILITY)  # run by run
         if bad.size:
             raise ConditioningError(f"outcome {q.flat[bad[0]]} has negligible "
                                     f"probability {probs.flat[bad[0]]:.3e}")
-        b = _flushed(b / np.sqrt(np.prod(probs, axis=1))[:, None])
-        mixture += b.T @ b.conj()
+        mixture += _gram(b / np.sqrt(np.prod(probs, axis=1))[:, None])
 
     n_acc = sum(r.accepted for r in records)
     rate = n_acc / config.n_runs
@@ -264,8 +257,11 @@ def run_protocol(config: ProtocolConfig,
     w_min = w_vol = None
     tomo_wigner = tomo_report = None
     if n_acc:
-        base = state0.rho[::-1, ::-1] if config.two_pulse else state0.rho
-        mean_state = DensityMatrixGrid(grid, base * mixture / n_acc)
+        base, phase = state0.rho, np.exp(1j * omega * xs)
+        if config.two_pulse:
+            base, phase = base[::-1, ::-1], phase * phase[::-1]
+        mean_state = DensityMatrixGrid(
+            grid, base * (mixture * _kick_phase(phase)) / n_acc)
         w_min, w_vol = negativity(wigner_transform(mean_state))
         if config.tomography_angles:
             tomo_rng = np.random.Generator(np.random.PCG64(master.spawn(1)[0]))

@@ -54,8 +54,9 @@ class QuadratureGrid:
     n_points: int
 
     def __post_init__(self):
-        if self.x_min != -self.x_max or self.x_max <= 0:
-            raise GridError("grid must be symmetric about 0 with x_max > 0")
+        if not (self.x_min == -self.x_max and 0 < self.x_max < math.inf):
+            raise GridError("grid must be symmetric about 0 with finite "
+                            f"x_max > 0, got [{self.x_min}, {self.x_max}]")
         n = self.n_points
         if n < 4 or (n & (n - 1)) != 0:
             raise GridError(f"n_points must be a power of two >= 4, got {n}")
@@ -141,6 +142,8 @@ class GaussianSpec:
         if self.kind not in self._KINDS:
             raise DomainError(f"kind must be one of {self._KINDS}, got "
                               f"{self.kind!r}")
+        if not np.isfinite([self.nbar, self.r, self.mean_x, self.mean_p]).all():
+            raise DomainError(f"spec fields must be finite, got {self!r}")
         if self.nbar < 0 or self.r < 0:
             raise DomainError("nbar and r must be non-negative")
 
@@ -311,17 +314,22 @@ def validate_state(state: DensityMatrixGrid, hermit_tol: float = 1e-10,
     rho * dx is above -positivity_tol (discretization can produce tiny
     negative eigenvalues).
     """
-    rho = state.rho
+    _check_density(state.rho, state.trace(), state.grid.dx, hermit_tol,
+                   trace_tol, positivity_tol if check_positivity else None)
+
+
+def _check_density(rho, tr, measure, hermit_tol, trace_tol, positivity_tol):
+    """Hermitian, unit trace tr and (unless positivity_tol is None) positive
+    rho * measure; raises DomainError on the first violation."""
     scale = float(np.max(np.abs(rho)))
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if not herm < hermit_tol * scale:
         raise DomainError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} "
                           f"vs scale {scale:.3e}")
-    tr = state.trace()
     if not abs(tr - 1.0) < trace_tol:
         raise DomainError(f"trace {tr!r} deviates from 1 by {abs(tr - 1):.3e}")
-    if check_positivity:
-        eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T) * state.grid.dx)
+    if positivity_tol is not None:
+        eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T) * measure)
         if not eigs[0] >= -positivity_tol:
             raise DomainError(f"negative eigenvalue {eigs[0]:.3e}")
 
@@ -330,16 +338,8 @@ def validate_fock(state: DensityMatrixFock, hermit_tol: float = 1e-10,
                   trace_tol: float = 1e-8, positivity_tol: float = 1e-8,
                   tail_tol: float = 1e-6) -> None:
     """Fock-side invariants: Hermitian, unit trace, positive, small tail."""
-    rho = state.rho
-    scale = float(np.max(np.abs(rho)))
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if not herm < hermit_tol * scale:
-        raise DomainError(f"not Hermitian: {herm:.3e} vs scale {scale:.3e}")
-    if not abs(state.trace() - 1.0) < trace_tol:
-        raise DomainError(f"trace deviates: {state.trace()!r}")
-    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))
-    if not eigs[0] >= -positivity_tol:
-        raise DomainError(f"negative eigenvalue {eigs[0]:.3e}")
+    _check_density(state.rho, state.trace(), 1.0, hermit_tol, trace_tol,
+                   positivity_tol)
     if not state.tail_mass() < tail_tol:
         raise TruncationError(f"truncation tail {state.tail_mass():.3e}")
 

@@ -87,15 +87,15 @@ class SeparationReport:
     physical_separation: float | None = None
 
 
-def _antidiagonal_rows(rho: np.ndarray, m: int) -> np.ndarray:
-    """a[i, k mod m] = rho[i+k, i-k] for every valid offset k."""
+def _antidiagonal_rows(rho: np.ndarray, m: int, shift: int = 0) -> np.ndarray:
+    """a[i, (k + shift) mod m] = rho[i+k, i-k] for every valid offset k."""
     n = rho.shape[0]
     a = np.zeros((n, m), dtype=np.complex128)
     for k in range(-(n - 1), n):
         lo = abs(k)
         i = np.arange(lo, n - lo)
         if i.size:
-            a[i, k % m] = rho[i + k, i - k]
+            a[i, (k + shift) % m] = rho[i + k, i - k]
     return a
 
 
@@ -118,12 +118,7 @@ def wigner_transform(state: DensityMatrixGrid, p_axis=None) -> WignerGrid:
     else:
         p_axis = np.asarray(p_axis, dtype=float)
         ks = np.arange(-(n - 1), n)
-        a = np.zeros((n, ks.size), dtype=np.complex128)
-        for idx, k in enumerate(ks):
-            lo = abs(k)
-            i = np.arange(lo, n - lo)
-            if i.size:
-                a[i, idx] = state.rho[i + k, i - k]
+        a = _antidiagonal_rows(state.rho, ks.size, n - 1)
         spec = a @ np.exp(-2j * np.outer(ks * dx, p_axis))
     w = spec * (dx / np.pi)
     residue = float(np.max(np.abs(w.imag)))

@@ -27,3 +27,14 @@ def squeezed(grid):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(71)
+
+
+try:
+    from hypothesis import settings
+except ImportError:  # property tests skip themselves without hypothesis
+    pass
+else:
+    # fixed examples and no example database: tier-1 runs are reproducible
+    settings.register_profile("deterministic", derandomize=True,
+                              database=None, deadline=None)
+    settings.load_profile("deterministic")

@@ -171,6 +171,39 @@ def test_protocol_non_finite_input_exit_2(tmp_path, capsys, cfg, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("system, named", [
+    ({"wavelength": 1e-6, "bogus": 1}, "bogus"),
+    ({"wavelength": "x"}, "wavelength"),
+], ids=["unknown_field", "non_numeric"])
+def test_protocol_bad_system_block_exit_2(tmp_path, capsys, system, named):
+    cfg = {"initial": {"kind": "ground"}, "chi": 1.0,
+           "window": {"center": 1.5, "width": 0.8}, "n_runs": 10, "seed": 5,
+           "system": {**SYSTEM, **system}}
+    code, _ = run(tmp_path, "protocol", cfg)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config.system" in err and named in err
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "omega_kick": "x"},
+     "omega_kick"),
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 2.5},
+     "n_outcomes"),
+    ("state", {"state": {"kind": "thermal", "nbar": "two"}}, "nbar"),
+    ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": "fast"},
+     "kappa"),
+    ("protocol", {"initial": {"kind": "ground"}, "chi": 1.0,
+                  "window": {"center": 1.5, "width": 0.8}, "n_runs": 10,
+                  "tomography": {"chi_p": "x"}}, "chi_p"),
+], ids=["measure_omega_kick", "measure_n_outcomes", "state_nbar",
+        "pulse_kappa", "protocol_tomography"])
+def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 def test_verify_subset_passes(tmp_path):
     cfg = {"checks": ["physical_separation", "rethermalization"]}
     code, out = run(tmp_path, "verify", cfg)

@@ -214,6 +214,39 @@ def test_uncondition_matches_quadrature_oracle(ground):
     assert np.max(np.abs(closed.rho - quad.rho)) < 1e-8
 
 
+def per_node_sum(grid, chi, omega, lo, hi, n_q):
+    """sum_k w_k u_k u_k^dag over composite-Simpson nodes on [lo, hi], one
+    Kraus diagonal u_k = linear_kraus_diagonal(q_k) at a time."""
+    h = (hi - lo) / (n_q - 1)
+    kern = np.zeros((grid.n_points, grid.n_points), dtype=complex)
+    for k, q in enumerate(np.linspace(lo, hi, n_q)):
+        w = h / 3.0 * (1.0 if k in (0, n_q - 1) else 4.0 if k % 2 else 2.0)
+        u = M.linear_kraus_diagonal(grid, M.LinearPulseMeasurement(chi, omega,
+                                                                   q))
+        kern += w * np.outer(u, u.conj())
+    return kern
+
+
+def test_oracles_match_explicit_per_node_sum():
+    # the oracles factor the kick phase out of their Simpson sums; this sum
+    # keeps it inside, node by node, so the factoring itself is checked
+    grid = states.QuadratureGrid(-8.0, 8.0, 64)
+    state = states.make_gaussian(grid, states.GaussianSpec(
+        "thermal", nbar=0.5, mean_x=0.3, mean_p=-0.4))
+    chi, omega, pad = 0.7, 1.3, 8.5
+    quad = M.uncondition_quadrature(state, chi, omega, n_q=201)
+    ref = state.rho * per_node_sum(grid, chi, omega, -pad,
+                                   chi * grid.x_max**2 + pad, 201)
+    assert np.max(np.abs(quad.rho - ref)) <= 1e-13
+
+    win = M.OutcomeWindow(1.5, 0.8)
+    quad, p_quad = M.condition_window_quadrature(state, chi, omega, win)
+    raw = state.rho * per_node_sum(grid, chi, omega, win.lo, win.hi, 201)
+    p_ref = float(np.real(np.trace(raw)) * grid.dx)
+    assert abs(p_quad - p_ref) <= 1e-13
+    assert np.max(np.abs(quad.rho - raw / p_ref)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # dispersive operator
 # ---------------------------------------------------------------------------

@@ -230,6 +230,22 @@ def test_format_table_mirrors_layout():
     assert "delta" in lines[-1] and "2" in lines[-1]
 
 
+@pytest.mark.parametrize("field", ["wavelength", "mass", "temperature",
+                                   "quality_factor", "reflectivity"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_system_params_reject_non_finite(field, value):
+    with pytest.raises(DomainError, match=field):
+        pm.SystemParams(**{**TABLE1, field: value})
+
+
+def test_system_from_dict_names_bad_field():
+    with pytest.raises(DomainError, match="bogus"):
+        pm.system_from_dict({**TABLE1, "bogus": 1})
+    with pytest.raises(DomainError, match="wavelength"):
+        pm.system_from_dict({**TABLE1, "wavelength": "x"})
+    assert pm.system_from_dict(TABLE1) == pm.SystemParams(**TABLE1)
+
+
 def test_system_params_validation():
     with pytest.raises(DomainError):
         pm.SystemParams(**{**TABLE1, "mass": -1.0})

@@ -113,6 +113,21 @@ def test_gaussian_spec_validation():
         states.GaussianSpec("thermal", nbar=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("nbar", np.nan), ("nbar", np.inf), ("r", np.nan), ("mean_x", np.inf),
+    ("mean_p", np.nan)])
+def test_gaussian_spec_rejects_non_finite(field, value):
+    with pytest.raises(DomainError, match="finite"):
+        states.GaussianSpec("thermal", **{field: value})
+
+
+@pytest.mark.parametrize("x_min, x_max", [(-np.inf, np.inf),
+                                          (np.nan, np.nan)])
+def test_grid_rejects_non_finite(x_min, x_max):
+    with pytest.raises(GridError):
+        states.QuadratureGrid(x_min, x_max, 8)
+
+
 def test_narrow_grid_warning():
     with pytest.warns(NarrowGridWarning):
         states.make_ground(states.QuadratureGrid(-4.0, 4.0, 256))
