@@ -16,11 +16,13 @@ OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
 grid = states.default_grid()
-inputs = {
-    "ground": (states.make_ground(grid), 1.5),
-    "thermal_n2": (states.make_thermal(grid, 2.0), 1.5),
-    "squeezed_r0.5": (states.make_squeezed(grid, 0.5), 6.4),
+specs = {
+    "ground": (states.GaussianSpec("ground"), 1.5),
+    "thermal_n2": (states.GaussianSpec("thermal", nbar=2.0), 1.5),
+    "squeezed_r0.5": (states.GaussianSpec("momentum_squeezed", r=0.5), 6.4),
 }
+inputs = {name: (states.make_gaussian(grid, spec), center)
+          for name, (spec, center) in specs.items()}
 
 print(f"{'input':<14} {'panel':<14} {'P(window)':>10} {'min W':>12} "
       f"{'neg. volume':>12} {'separation':>11}")

@@ -26,16 +26,16 @@ print(f"mixture min W         : {summary.wigner_min:.4f}")
 print(f"mixture neg. volume   : {summary.wigner_negative_volume:.4f}")
 
 grid = states.default_grid()
-target, _ = measurement.condition_window(states.make_ground(grid), 1.0, 0.0,
-                                         window)
+ground = states.make_gaussian(grid, states.GaussianSpec("ground"))
+target, _ = measurement.condition_window(ground, 1.0, 0.0, window)
 diff = (summary.mean_state.rho - target.rho) * grid.dx
 trace_distance = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 print(f"trace distance to closed-form windowed state: {trace_distance:.4f} "
       f"(statistical bound {3 / np.sqrt(summary.n_accepted):.4f})")
 
 # two-pulse sequence: kick, half period, kick; the mean momentum telescopes
-two_pulse, joint_prob, _ = protocol.two_pulse_prepare(
-    states.make_ground(grid), 1.0, 5.0, measurement.OutcomeWindow(1.5, 0.8))
+two_pulse, joint_prob = protocol.two_pulse_prepare(
+    ground, 1.0, 5.0, measurement.OutcomeWindow(1.5, 0.8))
 mean_p = states.moments(two_pulse)[1]
 w_min, _ = wigner.negativity(wigner.wigner_transform(two_pulse))
 print(f"\ntwo-pulse sequence: joint P(window) = {joint_prob:.4f}, "

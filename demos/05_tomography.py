@@ -18,7 +18,7 @@ OUT = Path("demo_out")
 OUT.mkdir(exist_ok=True)
 
 grid = states.default_grid()
-ground = states.make_ground(grid)
+ground = states.make_gaussian(grid, states.GaussianSpec("ground"))
 angles = [k * math.pi / 16 for k in range(16)]
 rng = np.random.default_rng(2026)
 

@@ -55,7 +55,8 @@ def _parsed(where: str, build, *args, **kwargs):
 
 def _require(cfg: dict, name: str, kind, where: str = "config",
              default=None):
-    """cfg[name] as a finite float or an int; default (None: required)."""
+    """cfg[name] as a finite float, an int or a bool; default (None:
+    required)."""
     if name not in cfg:
         if default is None:
             raise ConfigError(f"{where}.{name} is required")
@@ -63,7 +64,7 @@ def _require(cfg: dict, name: str, kind, where: str = "config",
     val = cfg[name]
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
-    if not isinstance(val, kind) or isinstance(val, bool):
+    if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
         raise ConfigError(f"{where}.{name} must be of type {kind.__name__}, "
                           f"got {type(val).__name__}")
     if kind is float and not math.isfinite(val):
@@ -77,7 +78,10 @@ def _grid_from(cfg: dict) -> st.QuadratureGrid:
         raise ConfigError("config.grid must be an object")
     if not obj:
         return st.default_grid()
-    return _parsed("config.grid", st.grid_from_json, obj)
+    x_max = _require(obj, "x_max", float, "config.grid")
+    return _parsed("config.grid", st.QuadratureGrid,
+                   _require(obj, "x_min", float, "config.grid", -x_max), x_max,
+                   _require(obj, "n_points", int, "config.grid"))
 
 
 def _spec_from(cfg: dict, key: str = "state") -> st.GaussianSpec:
@@ -137,7 +141,7 @@ def cmd_measure(cfg: dict, out: Path, seed) -> int:
     chi = _require(cfg, "chi", float)
     omega = _require(cfg, "omega_kick", float, default=0.0)
     window = _window_from(cfg)
-    dist = ms.outcome_pdf(state, chi, n_outcomes=_require(
+    dist = _parsed("config", ms.outcome_pdf, state, chi, n_outcomes=_require(
         cfg, "n_outcomes", int, default=ms.DEFAULT_N_OUTCOMES))
     ms.pdf_to_csv(dist, out / "pdf.csv")
     doc = {"chi": chi, "omega": omega, "outcome_mean": dist.mean(),
@@ -177,6 +181,8 @@ def cmd_pulse(cfg: dict, out: Path, seed) -> int:
     kappa = _require(cfg, "kappa", float, default=1.0)
     n_p = _require(cfg, "photon_number", float)
     g_lin = _require(cfg, "g_lin", float)
+    chi_cf = _parsed("config", pm.square_measurement_strength, n_p, g_lin,
+                     kappa)
     kind = cfg.get("spectrum", "square_optimal")
     if kind == "square_optimal":
         env = pl.optimal_square_spectrum(kappa)
@@ -191,7 +197,7 @@ def cmd_pulse(cfg: dict, out: Path, seed) -> int:
     _write(out, "pulse_verify.json", json.dumps({
         "spectrum": kind, "kappa": kappa,
         "chi_numeric": chi_num,
-        "chi_closed_form": pm.square_measurement_strength(n_p, g_lin, kappa),
+        "chi_closed_form": chi_cf,
         "kick_numeric": kick_num,
         "kick_closed_form": pm.mean_momentum_kick(n_p, g_lin, kappa),
     }, indent=2) + "\n")
@@ -223,7 +229,7 @@ def cmd_protocol(cfg: dict, out: Path, seed) -> int:
         initial=_spec_from(cfg, "initial"), chi=chi, window=window,
         n_runs=_require(cfg, "n_runs", int), seed=run_seed,
         omega_kick=_require(cfg, "omega_kick", float, default=0.0),
-        two_pulse=bool(cfg.get("two_pulse", False)),
+        two_pulse=_require(cfg, "two_pulse", bool, default=False),
         tomography_angles=angles, samples_per_angle=spa,
         tomography_chi_p=chi_p, nbar_over_q=nbar_over_q)
     summary = pr.run_protocol(config, grid=grid)

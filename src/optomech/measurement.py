@@ -1,30 +1,24 @@
-"""Pulsed measurement operators, outcome statistics, and conditional states.
+"""Pulsed measurement operator, outcome statistics, and conditional states.
 
-Two measurement operators appear, both diagonal in the mechanical position
-quadrature:
+The measurement operator is the effective square-displacement operator
+realized by amplitude-quadrature homodyning of a pulse under *linear*
+coupling,
 
-* the effective square-displacement operator realized by amplitude-quadrature
-  homodyning of a pulse under *linear* coupling,
+    U(x; q) = pi^(-1/4) exp(i w x) exp(-(q - chi x^2)^2 / 2),
 
-      U(x; q) = pi^(-1/4) exp(i w x) exp(-(q - chi x^2)^2 / 2),
+with measurement strength chi, momentum kick w and offset outcome q
+(positive q selects |x| near sqrt(q/chi)).  The dispersive scheme enters
+only through its measurement strength (`params.dispersive_strengths`).
 
-  with measurement strength chi, momentum kick w and offset outcome q
-  (positive q selects |x| near sqrt(q/chi)); and
-
-* its dispersive counterpart from phase-quadrature readout under a direct
-  quadratic interaction, which carries the opposite outcome sign
-  (large *negative* outcomes select large |x|).
-
-Because both are functions of position only, they act on a grid density
-matrix by elementwise row/column scaling.  Windowed conditioning integrates
-the Gaussian outcome factor over the window in closed form (an error-function
+Because U is a function of position only, it acts on a grid density matrix
+by elementwise row/column scaling.  Windowed conditioning integrates the
+Gaussian outcome factor over the window in closed form (an error-function
 difference); slow quadrature versions of the windowed and unconditional maps
 are kept alongside as independent oracles.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,11 +29,9 @@ from .states import DensityMatrixGrid, QuadratureGrid
 
 __all__ = [
     "LinearPulseMeasurement",
-    "DispersiveMeasurement",
     "OutcomeWindow",
     "OutcomeDistribution",
     "linear_kraus_diagonal",
-    "dispersive_kraus_diagonal",
     "outcome_kernel",
     "outcome_pdf",
     "condition_exact",
@@ -47,8 +39,6 @@ __all__ = [
     "condition_window_quadrature",
     "uncondition",
     "uncondition_quadrature",
-    "sample_outcome",
-    "record_to_json",
     "pdf_to_csv",
 ]
 
@@ -72,23 +62,6 @@ class LinearPulseMeasurement:
     def __post_init__(self):
         if self.chi <= 0:
             raise DomainError(f"chi must be positive, got {self.chi!r}")
-
-
-@dataclass(frozen=True)
-class DispersiveMeasurement:
-    """One phase-quadrature pulse in the dispersive scheme.
-
-    x_in is the incoming mean position entering the kick phase.
-    """
-
-    chi_sq: float
-    omega_sq: float = 0.0
-    outcome: float = 0.0
-    x_in: float = 0.0
-
-    def __post_init__(self):
-        if self.chi_sq <= 0:
-            raise DomainError(f"chi_sq must be positive, got {self.chi_sq!r}")
 
 
 @dataclass(frozen=True)
@@ -148,18 +121,6 @@ def linear_kraus_diagonal(grid: QuadratureGrid,
     """Position representation of the linear-scheme measurement operator."""
     return (np.exp(1j * meas.omega_kick * grid.xs)
             * _envelopes(grid.xs, meas.chi, meas.outcome))
-
-
-def dispersive_kraus_diagonal(grid: QuadratureGrid,
-                              meas: DispersiveMeasurement) -> np.ndarray:
-    """Position representation of the dispersive measurement operator.
-
-    Note the signs: the Gaussian argument is (outcome + chi_sq x^2), the
-    linear envelope at strength -chi_sq, so large negative outcomes play the
-    role positive ones do there, and the kick phase is exp(-i omega_sq x_in x).
-    """
-    return (np.exp(-1j * meas.omega_sq * meas.x_in * grid.xs)
-            * _envelopes(grid.xs, -meas.chi_sq, meas.outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +184,8 @@ def outcome_pdf(state: DensityMatrixGrid, chi: float,
     """
     if chi < 0:
         raise DomainError("chi must be non-negative")
+    if n_outcomes < 2:
+        raise DomainError(f"n_outcomes must be >= 2, got {n_outcomes!r}")
     xs = state.grid.xs
     if q_range is None:
         q_range = (-6.0, chi * state.grid.x_max**2 + 6.0)
@@ -233,12 +196,6 @@ def outcome_pdf(state: DensityMatrixGrid, chi: float,
         raise RangeError(f"outcome range {q_range} clips "
                          f"{1.0 - dist.mass:.2e} of the probability mass")
     return dist
-
-
-def sample_outcome(state: DensityMatrixGrid, chi: float,
-                   rng: np.random.Generator, size=None):
-    """Draw outcome(s) distributed per outcome_pdf; fixed seed, fixed draws."""
-    return outcome_pdf(state, chi).sample(rng, size=size)
 
 
 # ---------------------------------------------------------------------------
@@ -254,24 +211,12 @@ def _normalized(state: DensityMatrixGrid, raw: np.ndarray, event: str):
     return DensityMatrixGrid(state.grid, raw / prob), prob
 
 
-def _conditioned(state: DensityMatrixGrid, u: np.ndarray, outcome: float):
-    """U rho U^dag / P for the Kraus diagonal u of one recorded outcome."""
-    raw = u[:, None] * state.rho * np.conj(u)[None, :]
-    return _normalized(state, raw, f"outcome {outcome}")[0]
-
-
 def condition_exact(state: DensityMatrixGrid,
                     meas: LinearPulseMeasurement) -> DensityMatrixGrid:
     """Post-measurement state for one recorded outcome: U rho U^dag / P."""
-    return _conditioned(state, linear_kraus_diagonal(state.grid, meas),
-                        meas.outcome)
-
-
-def condition_dispersive(state: DensityMatrixGrid,
-                         meas: DispersiveMeasurement) -> DensityMatrixGrid:
-    """Same update for the dispersive operator."""
-    return _conditioned(state, dispersive_kraus_diagonal(state.grid, meas),
-                        meas.outcome)
+    u = linear_kraus_diagonal(state.grid, meas)
+    raw = u[:, None] * state.rho * np.conj(u)[None, :]
+    return _normalized(state, raw, f"outcome {meas.outcome}")[0]
 
 
 def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
@@ -371,22 +316,6 @@ def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
 # ---------------------------------------------------------------------------
 # external interface
 # ---------------------------------------------------------------------------
-
-def record_to_json(meas: LinearPulseMeasurement,
-                   window: OutcomeWindow | None = None) -> str:
-    rec = {"chi": meas.chi, "omega": meas.omega_kick, "outcome": meas.outcome,
-           "window": None if window is None else
-           {"center": window.center, "width": window.width}}
-    return json.dumps(rec)
-
-
-def record_from_json(text: str):
-    rec = json.loads(text)
-    meas = LinearPulseMeasurement(rec["chi"], rec["omega"], rec["outcome"])
-    window = (OutcomeWindow(rec["window"]["center"], rec["window"]["width"])
-              if rec.get("window") else None)
-    return meas, window
-
 
 def pdf_to_csv(dist: OutcomeDistribution, path) -> None:
     """Two-column CSV (q, P) of a sampled outcome density."""

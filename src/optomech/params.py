@@ -40,7 +40,6 @@ __all__ = [
     "cavity_shift_after_kick",
     "derive",
     "system_from_dict",
-    "load_system_params",
     "derived_to_json",
     "format_table",
 ]
@@ -172,30 +171,14 @@ def dispersive_strengths(photon_number, g_sq, kappa):
     return chi_sq, omega_sq
 
 
-def _ratio_from_base_formulas(params_lin: SystemParams, params_sq: SystemParams):
-    x_lin = zero_point_extension(params_lin.mass, params_lin.omega_m)
-    g_lin = linear_coupling(params_lin.wavelength, x_lin, params_lin.cavity_length)
-    k_lin = cavity_decay(params_lin.finesse, params_lin.cavity_length)
-    chi_lin = square_measurement_strength(params_lin.photon_number, g_lin, k_lin)
-
-    x_sq = zero_point_extension(params_sq.mass, params_sq.omega_m)
-    g_sq = quadratic_coupling(params_sq.wavelength, x_sq,
-                              params_sq.cavity_length, params_sq.reflectivity)
-    k_sq = cavity_decay(params_sq.finesse, params_sq.cavity_length)
-    chi_sq, _ = dispersive_strengths(params_sq.photon_number, g_sq, k_sq)
-    if chi_sq == 0.0:
-        return math.inf
-    return chi_lin / chi_sq
-
-
 def strength_ratio(params_lin: SystemParams, params_sq: SystemParams):
     """Ratio of X^2 measurement strengths, linear scheme over dispersive.
 
-    Computed from the base formulas (couplings, decay rates, strengths).
-    Requires identical photon number and wavelength in the two systems;
-    agrees with the closed form of `strength_ratio_closed_form` to within
-    a constant factor sqrt(4.2)/2 ~ 1.025 (the closed form drops O(1)
-    numerical factors).
+    Computed from the base formulas (couplings, decay rates, strengths) as
+    derive(params_lin).chi_x / derive(params_sq).chi_sq.  Requires identical
+    photon number and wavelength in the two systems; agrees with the closed
+    form of `strength_ratio_closed_form` to within a constant factor
+    sqrt(4.2)/2 ~ 1.025 (the closed form drops O(1) numerical factors).
     """
     if not math.isclose(params_lin.photon_number, params_sq.photon_number,
                         rel_tol=1e-12):
@@ -203,19 +186,16 @@ def strength_ratio(params_lin: SystemParams, params_sq: SystemParams):
     if not math.isclose(params_lin.wavelength, params_sq.wavelength,
                         rel_tol=1e-12):
         raise ContractError("wavelength must match between the two systems")
-    return _ratio_from_base_formulas(params_lin, params_sq)
+    return derive(params_lin).chi_x / derive(params_sq).chi_sq
 
 
 def strength_ratio_closed_form(params_lin: SystemParams, params_sq: SystemParams):
     """Closed-form strength ratio (1/pi)(F_lin^2/F_sq)(x_lin^2/x_sq^2)/sqrt(2(1-r))."""
     x_lin = zero_point_extension(params_lin.mass, params_lin.omega_m)
     x_sq = zero_point_extension(params_sq.mass, params_sq.omega_m)
-    r = params_sq.reflectivity
-    if r == 1.0:
-        return math.inf
     return (params_lin.finesse**2 / params_sq.finesse
             * x_lin**2 / x_sq**2
-            / (math.pi * math.sqrt(2.0 * (1.0 - r))))
+            / (math.pi * math.sqrt(2.0 * (1.0 - params_sq.reflectivity))))
 
 
 def thermal_occupation(temperature, omega_m):
@@ -293,12 +273,6 @@ def system_from_dict(raw) -> SystemParams:
         if not isinstance(val, (int, float)) or isinstance(val, bool):
             raise DomainError(f"field {key!r} must be a number, got {val!r}")
     return SystemParams(**{k: float(v) for k, v in raw.items()})
-
-
-def load_system_params(path) -> SystemParams:
-    """Read a SystemParams JSON file (SI-unit fields named as in the class)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_dict(json.load(fh))
 
 
 def derived_to_json(derived: DerivedParams, indent=2) -> str:

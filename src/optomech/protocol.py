@@ -46,7 +46,6 @@ __all__ = [
     "RunRecord",
     "ProtocolSummary",
     "free_evolve",
-    "free_evolve_grid",
     "momentum_kick",
     "rotate_half_period",
     "two_pulse_prepare",
@@ -130,13 +129,6 @@ def free_evolve(state: DensityMatrixFock, theta: float) -> DensityMatrixFock:
                              state.rho * np.outer(phases, phases.conj()))
 
 
-def free_evolve_grid(state: DensityMatrixGrid, theta: float,
-                     dim: int = DEFAULT_FOCK_DIM) -> DensityMatrixGrid:
-    """Grid-side free evolution via the Fock basis round trip."""
-    return fock_to_grid(free_evolve(grid_to_fock(state, dim), theta),
-                        state.grid)
-
-
 def momentum_kick(state: DensityMatrixGrid, omega: float) -> DensityMatrixGrid:
     """Displace momentum by omega: rho <- e^{i omega (x - x')} rho.
 
@@ -167,7 +159,7 @@ def two_pulse_prepare(state: DensityMatrixGrid, chi: float, omega: float,
     Both pulses kick by +omega; the parity flip in between telescopes the
     kicks away, so a zero-mean-momentum input leaves with zero mean momentum.
     `windows` is one OutcomeWindow (used for both pulses) or a pair.
-    Returns (state, joint window probability, RunRecord).
+    Returns (state, joint window probability).
     """
     if isinstance(windows, OutcomeWindow):
         windows = (windows, windows)
@@ -175,9 +167,7 @@ def two_pulse_prepare(state: DensityMatrixGrid, chi: float, omega: float,
     mid, p1 = condition_window(state, chi, omega, w1)
     mid = rotate_half_period(mid)
     out, p2 = condition_window(mid, chi, omega, w2)
-    prob = p1 * p2
-    record = RunRecord(outcomes=[w1.center, w2.center], accepted=True)
-    return out, prob, record
+    return out, p1 * p2
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,6 @@ the exact maximizer, which is what the random-envelope probe exercises.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -55,8 +54,6 @@ __all__ = [
     "numeric_momentum_kick",
     "modes_to_csv",
 ]
-
-log = logging.getLogger(__name__)
 
 MAX_RK4_STEP = 1e-3  # in units of 1/kappa
 # spectral concentration integral f^2 domega of the matched X^2 spectrum,
@@ -129,7 +126,6 @@ def lorentzian_spectrum_amplitude(omega, kappa: float):
 def _finalize_envelope(t_axis, samples) -> PulseEnvelope:
     nrm2 = float(np.trapezoid(samples**2, t_axis))
     scale = 1.0 / math.sqrt(nrm2)
-    log.debug("envelope renormalization factor %.6e", scale)
     return PulseEnvelope(t_axis, samples * scale, rescale_factor=scale)
 
 

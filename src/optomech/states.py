@@ -25,9 +25,6 @@ __all__ = [
     "DensityMatrixFock",
     "GaussianSpec",
     "default_grid",
-    "make_ground",
-    "make_thermal",
-    "make_squeezed",
     "make_gaussian",
     "grid_to_fock",
     "fock_to_grid",
@@ -35,7 +32,6 @@ __all__ = [
     "momentum_diagonal",
     "purity",
     "validate_state",
-    "validate_fock",
     "hermite_functions",
     "state_to_npz",
     "state_from_npz",
@@ -94,9 +90,6 @@ class DensityMatrixGrid:
 
     def trace(self) -> float:
         return float(np.real(np.trace(self.rho)) * self.grid.dx)
-
-    def copy(self) -> "DensityMatrixGrid":
-        return DensityMatrixGrid(self.grid, self.rho.copy())
 
 
 @dataclass
@@ -187,30 +180,6 @@ def make_gaussian(grid: QuadratureGrid, spec: GaussianSpec) -> DensityMatrixGrid
                  + 1j * spec.mean_p * v) / np.sqrt(2.0 * np.pi * var_x)
     rho /= np.real(np.trace(rho)) * grid.dx
     return DensityMatrixGrid(grid, rho)
-
-
-def make_ground(grid: QuadratureGrid) -> DensityMatrixGrid:
-    """Mechanical ground state: rho(x,x') = pi^(-1/2) exp(-(x^2+x'^2)/2)."""
-    if grid.x_max < 5.0:
-        warnings.warn(f"grid extends only to {grid.x_max}; ground-state "
-                      "tails need x_max >= 5", NarrowGridWarning,
-                      stacklevel=2)
-    return make_gaussian(grid, GaussianSpec("ground"))
-
-
-def make_thermal(grid: QuadratureGrid, nbar: float) -> DensityMatrixGrid:
-    """Thermal state with occupation nbar: Var(X) = Var(P) = (1 + 2 nbar)/2."""
-    if nbar < 0:
-        raise DomainError("nbar must be non-negative")
-    return make_gaussian(grid, GaussianSpec("thermal", nbar=nbar))
-
-
-def make_squeezed(grid: QuadratureGrid, r: float,
-                  kind: str = "momentum_squeezed") -> DensityMatrixGrid:
-    """Squeezed vacuum with parameter r (see GaussianSpec for the convention)."""
-    if kind not in ("momentum_squeezed", "position_squeezed"):
-        raise DomainError(f"kind must be a squeezed kind, got {kind!r}")
-    return make_gaussian(grid, GaussianSpec(kind, r=r))
 
 
 # ---------------------------------------------------------------------------
@@ -314,34 +283,19 @@ def validate_state(state: DensityMatrixGrid, hermit_tol: float = 1e-10,
     rho * dx is above -positivity_tol (discretization can produce tiny
     negative eigenvalues).
     """
-    _check_density(state.rho, state.trace(), state.grid.dx, hermit_tol,
-                   trace_tol, positivity_tol if check_positivity else None)
-
-
-def _check_density(rho, tr, measure, hermit_tol, trace_tol, positivity_tol):
-    """Hermitian, unit trace tr and (unless positivity_tol is None) positive
-    rho * measure; raises DomainError on the first violation."""
+    rho = state.rho
     scale = float(np.max(np.abs(rho)))
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if not herm < hermit_tol * scale:
         raise DomainError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} "
                           f"vs scale {scale:.3e}")
+    tr = state.trace()
     if not abs(tr - 1.0) < trace_tol:
         raise DomainError(f"trace {tr!r} deviates from 1 by {abs(tr - 1):.3e}")
-    if positivity_tol is not None:
-        eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T) * measure)
+    if check_positivity:
+        eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T) * state.grid.dx)
         if not eigs[0] >= -positivity_tol:
             raise DomainError(f"negative eigenvalue {eigs[0]:.3e}")
-
-
-def validate_fock(state: DensityMatrixFock, hermit_tol: float = 1e-10,
-                  trace_tol: float = 1e-8, positivity_tol: float = 1e-8,
-                  tail_tol: float = 1e-6) -> None:
-    """Fock-side invariants: Hermitian, unit trace, positive, small tail."""
-    _check_density(state.rho, state.trace(), 1.0, hermit_tol, trace_tol,
-                   positivity_tol)
-    if not state.tail_mass() < tail_tol:
-        raise TruncationError(f"truncation tail {state.tail_mass():.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +326,3 @@ def diagonal_to_csv(state: DensityMatrixGrid, path) -> None:
         fh.write("x,density\n")
         for x, d in zip(xs, diag):
             fh.write(f"{x:.12g},{d:.12g}\n")
-
-
-def grid_from_json(obj: dict) -> QuadratureGrid:
-    if "x_max" not in obj or "n_points" not in obj:
-        raise GridError("grid object needs x_max and n_points")
-    x_max = float(obj["x_max"])
-    return QuadratureGrid(float(obj.get("x_min", -x_max)), x_max,
-                          int(obj["n_points"]))

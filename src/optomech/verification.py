@@ -89,11 +89,10 @@ def check_table1(overrides) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _fig2_states(grid):
-    return {
-        "ground": st.make_ground(grid),
-        "thermal": st.make_thermal(grid, 2.0),
-        "squeezed": st.make_squeezed(grid, 0.5),
-    }
+    specs = {"ground": st.GaussianSpec("ground"),
+             "thermal": st.GaussianSpec("thermal", nbar=2.0),
+             "squeezed": st.GaussianSpec("momentum_squeezed", r=0.5)}
+    return {name: st.make_gaussian(grid, spec) for name, spec in specs.items()}
 
 
 def check_window_probabilities(overrides) -> list[CheckResult]:
@@ -164,7 +163,7 @@ def check_mean_outcome(overrides) -> list[CheckResult]:
              10.0: st.QuadratureGrid(-24.0, 24.0, 2048)}
     out = []
     for nbar, grid in grids.items():
-        state = st.make_thermal(grid, nbar)
+        state = st.make_gaussian(grid, st.GaussianSpec("thermal", nbar=nbar))
         for chi in (0.5, 1.0, 2.0):
             mean = ms.outcome_pdf(state, chi, n_outcomes=4096).mean()
             out.append(_rel(f"mean_outcome.n{nbar:g}_chi{chi:g}",
@@ -238,7 +237,7 @@ def check_wigner_identities(overrides) -> list[CheckResult]:
 
 def check_oracles(overrides) -> list[CheckResult]:
     grid = st.default_grid()
-    ground = st.make_ground(grid)
+    ground = st.make_gaussian(grid, st.GaussianSpec("ground"))
     win = ms.OutcomeWindow(1.5, 0.8)
     closed, p_c = ms.condition_window(ground, 1.0, 0.3, win)
     quad, p_q = ms.condition_window_quadrature(ground, 1.0, 0.3, win)
@@ -249,7 +248,7 @@ def check_oracles(overrides) -> list[CheckResult]:
     dev_uncond = float(np.max(np.abs(un_closed.rho - un_quad.rho)))
 
     wide = st.QuadratureGrid(-12.0, 12.0, 1024)
-    thermal = st.make_thermal(wide, 2.0)
+    thermal = st.make_gaussian(wide, st.GaussianSpec("thermal", nbar=2.0))
     phi = st.hermite_functions(wide.xs, 300)
     n = np.arange(300)
     fock_sum = (phi.T * (2.0**n / 3.0 ** (n + 1))) @ phi
@@ -269,9 +268,9 @@ def check_oracles(overrides) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_momentum_cancellation(overrides) -> list[CheckResult]:
-    vacuum = st.make_ground(st.default_grid())
-    out, _, _ = pr.two_pulse_prepare(vacuum, 1.0, 5.0,
-                                     ms.OutcomeWindow(0.5, 60.0))
+    vacuum = st.make_gaussian(st.default_grid(), st.GaussianSpec("ground"))
+    out, _ = pr.two_pulse_prepare(vacuum, 1.0, 5.0,
+                                  ms.OutcomeWindow(0.5, 60.0))
     mean_p = abs(st.moments(out)[1])
     return [_bound("momentum.cancellation",
                    "two-pulse residual |<P>| on vacuum, kick 5", 1e-6,
@@ -316,7 +315,7 @@ def check_rethermalization(overrides) -> list[CheckResult]:
 
 def check_tomography(overrides, seed=DEFAULT_SEED) -> list[CheckResult]:
     grid = st.default_grid()
-    ground = st.make_ground(grid)
+    ground = st.make_gaussian(grid, st.GaussianSpec("ground"))
     angles = [k * math.pi / 16 for k in range(16)]
     rng = np.random.Generator(np.random.PCG64(seed))
     _, report = pr.tomography(ground, angles, 10.0, 100_000, rng)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import AmbiguityError, DomainError
 from .states import DensityMatrixGrid
@@ -33,7 +32,6 @@ __all__ = [
     "separation_formula",
     "measure_separation",
     "physical_separation",
-    "rotated_marginal",
     "wigner_to_csv",
     "wigner_sidecar_json",
 ]
@@ -200,31 +198,6 @@ def physical_separation(delta: float, x0: float) -> float:
     if delta < 0 or x0 <= 0:
         raise DomainError("delta must be >= 0 and x0 > 0")
     return math.sqrt(2.0) * x0 * delta
-
-
-def rotated_marginal(wg: WignerGrid, theta: float):
-    """Marginal of the quadrature X cos(theta) + P sin(theta).
-
-    Integrates W along the direction orthogonal to the rotated axis using
-    cubic interpolation on the grid (zero outside).  Returns (s_axis,
-    density) with s_axis equal to the Wigner x axis.
-    """
-    if not 0.0 <= theta < 2.0 * np.pi:
-        raise DomainError("theta must lie in [0, 2 pi)")
-    s_axis = wg.x_axis
-    du = wg.dx
-    span = math.hypot(float(wg.x_axis[-1]), float(min(wg.p_axis[-1],
-                                                      wg.x_axis[-1])))
-    u_axis = np.arange(-span, span + du, du)
-    s_grid, u_grid = np.meshgrid(s_axis, u_axis, indexing="ij")
-    x_pts = s_grid * np.cos(theta) - u_grid * np.sin(theta)
-    p_pts = s_grid * np.sin(theta) + u_grid * np.cos(theta)
-    ix = (x_pts - wg.x_axis[0]) / wg.dx
-    ip = (p_pts - wg.p_axis[0]) / wg.dp
-    vals = ndimage.map_coordinates(wg.w, [ix.ravel(), ip.ravel()],
-                                   order=3, mode="constant", cval=0.0)
-    density = vals.reshape(s_grid.shape).sum(axis=1) * du
-    return s_axis, density
 
 
 # ---------------------------------------------------------------------------

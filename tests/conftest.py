@@ -11,17 +11,18 @@ def grid():
 
 @pytest.fixture(scope="session")
 def ground(grid):
-    return states.make_ground(grid)
+    return states.make_gaussian(grid, states.GaussianSpec("ground"))
 
 
 @pytest.fixture(scope="session")
 def thermal2(grid):
-    return states.make_thermal(grid, 2.0)
+    return states.make_gaussian(grid, states.GaussianSpec("thermal", nbar=2.0))
 
 
 @pytest.fixture(scope="session")
 def squeezed(grid):
-    return states.make_squeezed(grid, 0.5)
+    return states.make_gaussian(
+        grid, states.GaussianSpec("momentum_squeezed", r=0.5))
 
 
 @pytest.fixture()

@@ -75,7 +75,8 @@ def test_state_command_round_trip(tmp_path):
     code, out = run(tmp_path, "state", cfg)
     assert code == 0
     state = states.state_from_npz(out / "state.npz")
-    expected = states.make_squeezed(states.default_grid(), 0.5)
+    expected = states.make_gaussian(
+        states.default_grid(), states.GaussianSpec("momentum_squeezed", r=0.5))
     assert np.max(np.abs(state.rho - expected.rho)) < 1e-14
     doc = json.loads((out / "state.json").read_text())
     assert doc["var_x"] == pytest.approx(np.e / 2, rel=1e-6)
@@ -196,9 +197,29 @@ def test_protocol_bad_system_block_exit_2(tmp_path, capsys, system, named):
     ("protocol", {"initial": {"kind": "ground"}, "chi": 1.0,
                   "window": {"center": 1.5, "width": 0.8}, "n_runs": 10,
                   "tomography": {"chi_p": "x"}}, "chi_p"),
+    ("state", {"state": {"kind": "ground"},
+               "grid": {"x_max": "8", "n_points": 64}}, "config.grid.x_max"),
+    ("state", {"state": {"kind": "ground"},
+               "grid": {"x_max": 8.0, "n_points": 64.9}},
+     "config.grid.n_points"),
+    ("protocol", {"initial": {"kind": "ground"}, "chi": 1.0,
+                  "window": {"center": 1.5, "width": 0.8}, "n_runs": 10,
+                  "two_pulse": "no"}, "config.two_pulse"),
 ], ids=["measure_omega_kick", "measure_n_outcomes", "state_nbar",
-        "pulse_kappa", "protocol_tomography"])
+        "pulse_kappa", "protocol_tomography", "grid_x_max", "grid_n_points",
+        "protocol_two_pulse"])
 def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 1},
+     "n_outcomes"),
+    ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": -1.0}, "kappa"),
+], ids=["measure_one_outcome", "pulse_negative_kappa"])
+def test_out_of_range_field_exit_2(tmp_path, capsys, command, cfg, named):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert named in capsys.readouterr().err

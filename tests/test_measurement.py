@@ -79,7 +79,7 @@ def test_outcome_pdf_positive_wing(ground):
                                           (10.0, 24.0, 2048)])
 def test_outcome_pdf_mean_law_thermal(nbar, x_max, n):
     wide = states.QuadratureGrid(-x_max, x_max, n)
-    th = states.make_thermal(wide, nbar)
+    th = states.make_gaussian(wide, states.GaussianSpec("thermal", nbar=nbar))
     dist = M.outcome_pdf(th, 1.0, n_outcomes=4096)
     assert dist.mean() == pytest.approx(0.5 + nbar, rel=1e-6)
 
@@ -248,50 +248,23 @@ def test_oracles_match_explicit_per_node_sum():
 
 
 # ---------------------------------------------------------------------------
-# dispersive operator
-# ---------------------------------------------------------------------------
-
-def test_dispersive_kraus_closed_form(grid):
-    meas = M.DispersiveMeasurement(chi_sq=0.8, omega_sq=1.1, outcome=-0.4,
-                                   x_in=0.6)
-    u = M.dispersive_kraus_diagonal(grid, meas)
-    xs = grid.xs
-    expected = np.pi ** (-0.25) * np.exp(-1j * 1.1 * 0.6 * xs) \
-        * np.exp(-0.5 * (-0.4 + 0.8 * xs**2) ** 2)
-    assert np.max(np.abs(u - expected)) < 1e-14
-
-
-def test_dispersive_selects_negative_outcomes(grid):
-    # outcome Q_P = -chi a^2 concentrates weight at |x| = a
-    meas = M.DispersiveMeasurement(chi_sq=1.0, outcome=-4.0)
-    u2 = np.abs(M.dispersive_kraus_diagonal(grid, meas)) ** 2
-    assert abs(grid.xs[np.argmax(u2)]) == pytest.approx(2.0, abs=grid.dx)
-
-
-def test_dispersive_matches_linear_up_to_kick(ground):
-    lin = M.condition_exact(ground, M.LinearPulseMeasurement(1.0, 0.0, 1.5))
-    disp = M.condition_dispersive(ground,
-                                  M.DispersiveMeasurement(1.0, 0.0, -1.5, 0.0))
-    assert np.max(np.abs(lin.rho - disp.rho)) < 1e-14
-
-
-# ---------------------------------------------------------------------------
 # sampling
 # ---------------------------------------------------------------------------
 
 def test_sampling_is_deterministic(ground):
-    a = M.sample_outcome(ground, 1.0, np.random.default_rng(5), size=100)
-    b = M.sample_outcome(ground, 1.0, np.random.default_rng(5), size=100)
+    dist = M.outcome_pdf(ground, 1.0)
+    a = dist.sample(np.random.default_rng(5), size=100)
+    b = dist.sample(np.random.default_rng(5), size=100)
     assert np.array_equal(a, b)
 
 
 def test_sample_mean_matches_formula(ground, rng):
-    samples = M.sample_outcome(ground, 1.0, rng, size=100_000)
+    samples = M.outcome_pdf(ground, 1.0).sample(rng, size=100_000)
     assert samples.mean() == pytest.approx(0.5, abs=0.01)
 
 
 def test_shot_noise_samples_are_gaussian(ground, rng):
-    samples = M.sample_outcome(ground, 0.0, rng, size=50_000)
+    samples = M.outcome_pdf(ground, 0.0).sample(rng, size=50_000)
     _, p_value = stats.kstest(samples, "norm", args=(0.0, np.sqrt(0.5)))
     assert p_value > 0.01
 
@@ -299,14 +272,6 @@ def test_shot_noise_samples_are_gaussian(ground, rng):
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-def test_record_json_round_trip():
-    meas = M.LinearPulseMeasurement(1.0, 0.5, 1.5)
-    window = M.OutcomeWindow(1.5, 0.8)
-    text = M.record_to_json(meas, window)
-    meas2, window2 = M.record_from_json(text)
-    assert meas2 == meas and window2 == window
-
 
 def test_pdf_csv_export(tmp_path, ground):
     dist = M.outcome_pdf(ground, 1.0)
@@ -317,13 +282,13 @@ def test_pdf_csv_export(tmp_path, ground):
     assert len(rows) == 1 + dist.q_axis.size
 
 
-def test_invalid_measurement_parameters():
+def test_invalid_measurement_parameters(ground):
     with pytest.raises(DomainError):
         M.LinearPulseMeasurement(chi=0.0)
     with pytest.raises(DomainError):
         M.OutcomeWindow(1.0, 0.0)
-    with pytest.raises(DomainError):
-        M.DispersiveMeasurement(chi_sq=-1.0)
+    with pytest.raises(DomainError, match="n_outcomes"):
+        M.outcome_pdf(ground, 1.0, n_outcomes=1)
 
 
 @pytest.mark.parametrize("center, width", [(1.0, math.nan), (math.nan, 1.0),

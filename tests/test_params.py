@@ -200,7 +200,8 @@ def test_short_pulse_warning_state():
 def test_json_round_trip(tmp_path):
     path = tmp_path / "params.json"
     path.write_text(json.dumps(TABLE1))
-    system = pm.load_system_params(path)
+    with open(path, encoding="utf-8") as fh:
+        system = pm.system_from_dict(json.load(fh))
     assert system == pm.SystemParams(**TABLE1)
     derived = pm.derive(system)
     doc = json.loads(pm.derived_to_json(derived))
@@ -209,15 +210,12 @@ def test_json_round_trip(tmp_path):
 
 def test_load_rejects_bad_files(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"wavelength": 1e-6}))
-    with pytest.raises(DomainError):
-        pm.load_system_params(path)
-    path.write_text(json.dumps({**TABLE1, "bogus": 1.0}))
-    with pytest.raises(DomainError):
-        pm.load_system_params(path)
-    path.write_text(json.dumps({**TABLE1, "mass": "heavy"}))
-    with pytest.raises(DomainError):
-        pm.load_system_params(path)
+    for raw in ({"wavelength": 1e-6}, {**TABLE1, "bogus": 1.0},
+                {**TABLE1, "mass": "heavy"}):
+        path.write_text(json.dumps(raw))
+        with open(path, encoding="utf-8") as fh:
+            with pytest.raises(DomainError):
+                pm.system_from_dict(json.load(fh))
 
 
 def test_format_table_mirrors_layout():

@@ -8,6 +8,10 @@ from optomech.errors import (DomainError, GridError, NarrowGridWarning,
                              TruncationError)
 
 
+def gaussian(grid, kind="ground", **fields):
+    return states.make_gaussian(grid, states.GaussianSpec(kind, **fields))
+
+
 def test_grid_invariants():
     g = states.default_grid()
     assert g.dx > 0
@@ -36,13 +40,13 @@ def test_ground_moments_and_purity(ground):
 
 
 def test_thermal_zero_equals_ground(grid, ground):
-    th0 = states.make_thermal(grid, 0.0)
+    th0 = gaussian(grid, "thermal", nbar=0.0)
     assert np.max(np.abs(th0.rho - ground.rho)) < 1e-14
 
 
 def test_thermal_variance_and_purity():
     wide = states.QuadratureGrid(-12.0, 12.0, 1024)
-    th = states.make_thermal(wide, 2.0)
+    th = gaussian(wide, "thermal", nbar=2.0)
     _, _, var_x, var_p = states.moments(th)
     assert var_x == pytest.approx(2.5, abs=1e-6)
     assert var_p == pytest.approx(2.5, abs=1e-6)
@@ -53,7 +57,7 @@ def test_thermal_variance_and_purity():
                                           (10.0, 24.0, 2048)])
 def test_thermal_kernel_matches_fock_sum(nbar, x_max, n):
     grid = states.QuadratureGrid(-x_max, x_max, n)
-    th = states.make_thermal(grid, nbar)
+    th = gaussian(grid, "thermal", nbar=nbar)
     dim = 320
     phi = states.hermite_functions(grid.xs, dim)
     ns = np.arange(dim)
@@ -63,7 +67,7 @@ def test_thermal_kernel_matches_fock_sum(nbar, x_max, n):
 
 
 def test_squeezed_zero_equals_ground(grid, ground):
-    sq0 = states.make_squeezed(grid, 0.0)
+    sq0 = gaussian(grid, "momentum_squeezed", r=0.0)
     assert np.max(np.abs(sq0.rho - ground.rho)) < 1e-14
 
 
@@ -74,7 +78,7 @@ def test_momentum_squeezed_broadens_position(squeezed):
 
 
 def test_position_squeezed_is_transposed_convention(grid):
-    sq = states.make_squeezed(grid, 0.5, kind="position_squeezed")
+    sq = gaussian(grid, "position_squeezed", r=0.5)
     _, _, var_x, var_p = states.moments(sq)
     assert var_x == pytest.approx(np.exp(-1) / 2, rel=1e-6)
     assert var_p == pytest.approx(np.e / 2, rel=1e-6)
@@ -84,8 +88,8 @@ def test_position_squeezed_is_transposed_convention(grid):
 def test_squeezed_purity(r):
     # anti-squeezed position spread e^r needs grid room on the same scale
     wide = states.QuadratureGrid(-12.0, 12.0, 1024)
-    assert states.purity(states.make_squeezed(wide, r)) == pytest.approx(
-        1.0, abs=1e-6)
+    sq = gaussian(wide, "momentum_squeezed", r=r)
+    assert states.purity(sq) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_displaced_gaussian_means(grid):
@@ -98,8 +102,8 @@ def test_displaced_gaussian_means(grid):
 
 
 def test_constructors_satisfy_invariants(grid):
-    for state in (states.make_ground(grid), states.make_thermal(grid, 2.0),
-                  states.make_squeezed(grid, 0.5),
+    for state in (gaussian(grid), gaussian(grid, "thermal", nbar=2.0),
+                  gaussian(grid, "momentum_squeezed", r=0.5),
                   states.make_gaussian(grid,
                                        states.GaussianSpec("ground",
                                                            mean_x=0.5))):
@@ -129,10 +133,11 @@ def test_grid_rejects_non_finite(x_min, x_max):
 
 
 def test_narrow_grid_warning():
+    # the shared clip estimate: erfc(3) = 2.2e-5 of the ground state is cut
     with pytest.warns(NarrowGridWarning):
-        states.make_ground(states.QuadratureGrid(-4.0, 4.0, 256))
+        gaussian(states.QuadratureGrid(-3.0, 3.0, 256))
     with pytest.warns(NarrowGridWarning):
-        states.make_thermal(states.default_grid(), 10.0)
+        gaussian(states.default_grid(), "thermal", nbar=10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +155,7 @@ def test_ground_in_fock_basis(ground):
 
 def test_thermal_fock_diagonal_is_geometric():
     wide = states.QuadratureGrid(-12.0, 12.0, 1024)
-    fock = states.grid_to_fock(states.make_thermal(wide, 2.0), 256)
+    fock = states.grid_to_fock(gaussian(wide, "thermal", nbar=2.0), 256)
     n = np.arange(256)
     expected = 2.0**n / 3.0 ** (n + 1)
     assert np.max(np.abs(np.real(np.diag(fock.rho)) - expected)) < 1e-6
@@ -158,18 +163,23 @@ def test_thermal_fock_diagonal_is_geometric():
 
 @pytest.mark.parametrize("maker", ["ground", "thermal", "squeezed"])
 def test_round_trip_grid_fock_grid(grid, maker):
-    state = {"ground": states.make_ground(grid),
-             "thermal": states.make_thermal(grid, 2.0),
-             "squeezed": states.make_squeezed(grid, 0.5)}[maker]
+    state = {"ground": gaussian(grid),
+             "thermal": gaussian(grid, "thermal", nbar=2.0),
+             "squeezed": gaussian(grid, "momentum_squeezed", r=0.5)}[maker]
     back = states.fock_to_grid(states.grid_to_fock(state, 256), grid)
     assert np.max(np.abs(back.rho - state.rho)) < 1e-6
 
 
 def test_fock_constructor_outputs_satisfy_invariants(grid):
     wide = states.QuadratureGrid(-12.0, 12.0, 1024)  # thermal tails need room
-    for state in (states.make_ground(grid), states.make_thermal(wide, 2.0),
-                  states.make_squeezed(grid, 0.5)):
-        states.validate_fock(states.grid_to_fock(state, 256))
+    for state in (gaussian(grid), gaussian(wide, "thermal", nbar=2.0),
+                  gaussian(grid, "momentum_squeezed", r=0.5)):
+        fock = states.grid_to_fock(state, 256)
+        assert fock.trace() == pytest.approx(1.0, abs=1e-8)
+        rho, rho_dag = fock.rho, fock.rho.conj().T
+        assert np.max(np.abs(rho - rho_dag)) < 1e-10 * np.max(np.abs(rho))
+        assert np.linalg.eigvalsh(0.5 * (rho + rho_dag))[0] >= -1e-8
+        assert fock.tail_mass() < 1e-6
 
 
 def test_fock_to_grid_single_excitation(grid):
@@ -183,7 +193,7 @@ def test_fock_to_grid_single_excitation(grid):
 
 def test_truncation_error_for_small_dim(grid):
     with pytest.raises(TruncationError):
-        states.grid_to_fock(states.make_thermal(grid, 2.0), 16)
+        states.grid_to_fock(gaussian(grid, "thermal", nbar=2.0), 16)
 
 
 def test_hermite_functions_orthonormal():

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from optomech import measurement as M
+from optomech import protocol as PR
 from optomech import states
 from optomech import wigner as W
 from optomech.errors import AmbiguityError, DomainError
@@ -24,8 +25,7 @@ FROZEN_MIN_H = -0.303153
 
 
 @pytest.fixture(scope="module")
-def panel_b(grid):
-    ground = states.make_ground(grid)
+def panel_b(ground):
     return M.condition_window(ground, 1.0, 0.0, M.OutcomeWindow(1.5, 0.8))[0]
 
 
@@ -179,36 +179,34 @@ def test_physical_separation_values():
 
 
 # ---------------------------------------------------------------------------
-# rotated marginals
+# rotated marginals: the marginal of X cos t + P sin t is the position
+# marginal after free evolution by t, the way tomography samples it
 # ---------------------------------------------------------------------------
 
+def rotated_wigner(state, theta, dim=128):
+    fock = PR.free_evolve(states.grid_to_fock(state, dim), theta)
+    return W.wigner_transform(states.fock_to_grid(fock, state.grid))
+
+
 def test_rotated_marginal_at_zero_is_position_diagonal(ground):
-    wg = W.wigner_transform(ground)
-    s, density = W.rotated_marginal(wg, 0.0)
+    density = rotated_wigner(ground, 0.0).marginal_x()
     assert np.max(np.abs(density - ground.diagonal())) < 1e-5
 
 
 def test_rotated_marginal_ground_is_isotropic(ground):
-    wg = W.wigner_transform(ground)
-    _, d0 = W.rotated_marginal(wg, 0.0)
-    _, d90 = W.rotated_marginal(wg, np.pi / 2)
+    d0 = rotated_wigner(ground, 0.0).marginal_x()
+    d90 = rotated_wigner(ground, np.pi / 2).marginal_x()
     assert np.max(np.abs(d0 - d90)) < 1e-5
 
 
 def test_rotated_marginal_squeezed_variance(squeezed):
-    wg = W.wigner_transform(squeezed)
-    s, density = W.rotated_marginal(wg, np.pi / 2)
+    wg = rotated_wigner(squeezed, np.pi / 2)
+    s, density = wg.x_axis, wg.marginal_x()
     ds = s[1] - s[0]
     norm = np.sum(density) * ds
     assert norm == pytest.approx(1.0, abs=1e-5)
     var = np.sum(s**2 * density) * ds / norm
     assert var == pytest.approx(np.exp(-1.0) / 2.0, abs=1e-5)
-
-
-def test_rotated_marginal_rejects_out_of_range(ground):
-    wg = W.wigner_transform(ground)
-    with pytest.raises(DomainError):
-        W.rotated_marginal(wg, -0.1)
 
 
 # ---------------------------------------------------------------------------
