@@ -9,8 +9,8 @@ verification of the measurement strengths, and a Monte-Carlo preparation
 and tomography protocol.
 """
 
-from . import (cli, measurement, params, protocol, pulse, states,
-               verification, wigner)
+from . import (measurement, params, protocol, pulse, states, verification,
+               wigner)
 from .errors import (AmbiguityError, ConditioningError, ContractError,
                      DomainError, GridError, NarrowGridWarning,
                      OptomechError, RangeError, ReconstructionWarning,

@@ -4,8 +4,11 @@
 
 Commands: params, state, measure, wigner, pulse, protocol, verify.  Every
 command is deterministic given (config, seed) and overwrites its outputs
-with stable file names.  Exit codes: 0 success, 1 verification failure,
-2 usage or config error.
+with stable file names.  Each command reads its config through one table of
+fields; an unknown key at any level is a config error.  Exit codes: 0
+success; 1 verification failure, or a computation error raised after the
+config parsed (such as a window of negligible probability); 2 usage or
+config error.
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from . import measurement as ms
 from . import params as pm
@@ -53,58 +58,58 @@ def _parsed(where: str, build, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}")
 
 
-def _require(cfg: dict, name: str, kind, where: str = "config",
-             default=None):
-    """cfg[name] as a finite float, an int or a bool; default (None:
-    required)."""
-    if name not in cfg:
-        if default is None:
-            raise ConfigError(f"{where}.{name} is required")
-        return default
-    val = cfg[name]
+# Value-type blocks: each schema is read from the dataclass's own fields,
+# types and defaults.  A grid is symmetric, so x_min defaults to -x_max.
+_BLOCKS = {cls: {f.name: (get_type_hints(cls)[f.name], f.default)
+                 for f in fields(cls)}
+           for cls in (pm.SystemParams, st.GaussianSpec, ms.OutcomeWindow,
+                       st.QuadratureGrid)}
+_BLOCKS[st.QuadratureGrid]["x_min"] = (float, lambda got: -got["x_max"])
+
+
+def _read(val, kind, where: str):
+    """val as kind: a value type, a schema table, or a JSON type where
+    floats are finite, ints widen to float and bools are not numbers."""
+    if isinstance(kind, dict):
+        return _walk(val, kind, where)
+    if kind in _BLOCKS:
+        return _parsed(where, kind, **_walk(val, _BLOCKS[kind], where))
     if kind is float and isinstance(val, int) and not isinstance(val, bool):
         val = float(val)
     if not isinstance(val, kind) or isinstance(val, bool) != (kind is bool):
-        raise ConfigError(f"{where}.{name} must be of type {kind.__name__}, "
+        raise ConfigError(f"{where} must be of type {kind.__name__}, "
                           f"got {type(val).__name__}")
     if kind is float and not math.isfinite(val):
-        raise ConfigError(f"{where}.{name} must be finite, got {val!r}")
+        raise ConfigError(f"{where} must be finite, got {val!r}")
     return val
 
 
-def _grid_from(cfg: dict) -> st.QuadratureGrid:
-    obj = cfg.get("grid", {})
+def _walk(obj, schema: dict, where: str = "config") -> dict:
+    """obj read against schema {name: (kind, default)}.
+
+    An unknown key, or an absent field whose default is MISSING, is a config
+    error.  Another absent field takes its default; a callable default is
+    computed from the required fields and those before it.
+    """
     if not isinstance(obj, dict):
-        raise ConfigError("config.grid must be an object")
-    if not obj:
-        return st.default_grid()
-    x_max = _require(obj, "x_max", float, "config.grid")
-    return _parsed("config.grid", st.QuadratureGrid,
-                   _require(obj, "x_min", float, "config.grid", -x_max), x_max,
-                   _require(obj, "n_points", int, "config.grid"))
+        raise ConfigError(f"{where} must be an object")
+    for name in obj:
+        if name not in schema:
+            raise ConfigError(f"{where}.{name} is not a known field; "
+                              f"expected one of {', '.join(schema)}")
+    got = {name: _read(val, schema[name][0], f"{where}.{name}")
+           for name, val in obj.items()}
+    for name, (_, default) in schema.items():
+        if name not in got and default is MISSING:
+            raise ConfigError(f"{where}.{name} is required")
+    for name, (_, default) in schema.items():
+        if name not in got:
+            got[name] = default(got) if callable(default) else default
+    return got
 
 
-def _spec_from(cfg: dict, key: str = "state") -> st.GaussianSpec:
-    obj = cfg.get(key)
-    if not isinstance(obj, dict):
-        raise ConfigError(f"config.{key} must be an object")
-    fields = {name: _require(obj, name, float, f"config.{key}", 0.0)
-              for name in ("nbar", "r", "mean_x", "mean_p")}
-    return _parsed(f"config.{key}", st.GaussianSpec,
-                   kind=obj.get("kind", "ground"), **fields)
-
-
-def _window_from(cfg: dict, required: bool = False):
-    obj = cfg.get("window")
-    if obj is None:
-        if required:
-            raise ConfigError("config.window is required")
-        return None
-    if not isinstance(obj, dict):
-        raise ConfigError("config.window must be an object")
-    return _parsed("config.window", ms.OutcomeWindow,
-                   _require(obj, "center", float, "config.window"),
-                   _require(obj, "width", float, "config.window"))
+_GRID = (st.QuadratureGrid, st.default_grid())
+_STATE = {"grid": _GRID, "state": (st.GaussianSpec, MISSING)}
 
 
 def _write(out_dir: Path, name: str, text: str) -> None:
@@ -116,7 +121,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_params(cfg: dict, out: Path, seed) -> int:
-    system = _parsed("config.system", pm.system_from_dict, cfg.get("system"))
+    system = _walk(cfg, {"system": (pm.SystemParams, MISSING)})["system"]
     derived = _parsed("config.system", pm.derive, system)
     _write(out, "params.json", pm.derived_to_json(derived) + "\n")
     _write(out, "params.txt", pm.format_table(system, derived))
@@ -124,8 +129,8 @@ def cmd_params(cfg: dict, out: Path, seed) -> int:
 
 
 def cmd_state(cfg: dict, out: Path, seed) -> int:
-    grid = _grid_from(cfg)
-    state = st.make_gaussian(grid, _spec_from(cfg))
+    cfg = _walk(cfg, _STATE)
+    state = st.make_gaussian(cfg["grid"], cfg["state"])
     st.state_to_npz(state, out / "state.npz")
     st.diagonal_to_csv(state, out / "diagonal.csv")
     mean_x, mean_p, var_x, var_p = st.moments(state)
@@ -136,13 +141,14 @@ def cmd_state(cfg: dict, out: Path, seed) -> int:
 
 
 def cmd_measure(cfg: dict, out: Path, seed) -> int:
-    grid = _grid_from(cfg)
-    state = st.make_gaussian(grid, _spec_from(cfg))
-    chi = _require(cfg, "chi", float)
-    omega = _require(cfg, "omega_kick", float, default=0.0)
-    window = _window_from(cfg)
-    dist = _parsed("config", ms.outcome_pdf, state, chi, n_outcomes=_require(
-        cfg, "n_outcomes", int, default=ms.DEFAULT_N_OUTCOMES))
+    cfg = _walk(cfg, {**_STATE, "chi": (float, MISSING),
+                      "omega_kick": (float, 0.0),
+                      "window": (ms.OutcomeWindow, None),
+                      "n_outcomes": (int, ms.DEFAULT_N_OUTCOMES)})
+    state = st.make_gaussian(cfg["grid"], cfg["state"])
+    chi, omega, window = cfg["chi"], cfg["omega_kick"], cfg["window"]
+    dist = _parsed("config", ms.outcome_pdf, state, chi,
+                   n_outcomes=cfg["n_outcomes"])
     ms.pdf_to_csv(dist, out / "pdf.csv")
     doc = {"chi": chi, "omega": omega, "outcome_mean": dist.mean(),
            "outcome_variance": dist.central_moment(2), "window": None,
@@ -157,39 +163,43 @@ def cmd_measure(cfg: dict, out: Path, seed) -> int:
 
 
 def cmd_wigner(cfg: dict, out: Path, seed) -> int:
-    grid = _grid_from(cfg)
-    state = st.make_gaussian(grid, _spec_from(cfg))
-    mode = cfg.get("mode", "initial")
-    if mode not in ("initial", "conditioned", "unconditional"):
+    cfg = _walk(cfg, {**_STATE, "mode": (str, "initial"),
+                      "label": (str, lambda got: got["mode"]),
+                      "chi": (float, None), "omega_kick": (float, 0.0),
+                      "window": (ms.OutcomeWindow, None)})
+    mode, chi, omega = cfg["mode"], cfg["chi"], cfg["omega_kick"]
+    needs = {"initial": (), "conditioned": ("chi", "window"),
+             "unconditional": ("chi",)}
+    if mode not in needs:
         raise ConfigError("config.mode must be initial|conditioned|unconditional")
-    label = cfg.get("label", mode)
-    if mode != "initial":
-        chi = _require(cfg, "chi", float)
-        omega = _require(cfg, "omega_kick", float, default=0.0)
-        if mode == "conditioned":
-            window = _window_from(cfg, required=True)
-            state, _ = ms.condition_window(state, chi, omega, window)
-        else:
-            state = ms.uncondition(state, chi, omega)
+    for name in needs[mode]:
+        if cfg[name] is None:
+            raise ConfigError(f"config.{name} is required in mode {mode}")
+    state = st.make_gaussian(cfg["grid"], cfg["state"])
+    if mode == "conditioned":
+        state, _ = ms.condition_window(state, chi, omega, cfg["window"])
+    elif mode == "unconditional":
+        state = ms.uncondition(state, chi, omega)
     w = wg.wigner_transform(state)
+    label = cfg["label"]
     wg.wigner_to_csv(w, out / f"wigner_{label}.csv")
     _write(out, f"wigner_{label}.json", wg.wigner_sidecar_json(w, label) + "\n")
     return 0
 
 
 def cmd_pulse(cfg: dict, out: Path, seed) -> int:
-    kappa = _require(cfg, "kappa", float, default=1.0)
-    n_p = _require(cfg, "photon_number", float)
-    g_lin = _require(cfg, "g_lin", float)
+    cfg = _walk(cfg, {"kappa": (float, 1.0), "photon_number": (float, MISSING),
+                      "g_lin": (float, MISSING),
+                      "spectrum": (str, "square_optimal")})
+    kappa, n_p, g_lin, kind = (cfg["kappa"], cfg["photon_number"],
+                               cfg["g_lin"], cfg["spectrum"])
     chi_cf = _parsed("config", pm.square_measurement_strength, n_p, g_lin,
                      kappa)
-    kind = cfg.get("spectrum", "square_optimal")
-    if kind == "square_optimal":
-        env = pl.optimal_square_spectrum(kappa)
-    elif kind == "lorentzian":
-        env = pl.lorentzian_spectrum(kappa)
-    else:
+    envelopes = {"square_optimal": pl.optimal_square_spectrum,
+                 "lorentzian": pl.lorentzian_spectrum}
+    if kind not in envelopes:
         raise ConfigError("config.spectrum must be square_optimal|lorentzian")
+    env = envelopes[kind](kappa)
     modes = pl.cascade_integrate(env, kappa)
     chi_num = pl.numeric_square_strength(modes, n_p, g_lin, kappa)
     kick_num = pl.numeric_momentum_kick(modes, n_p, g_lin)
@@ -205,34 +215,32 @@ def cmd_pulse(cfg: dict, out: Path, seed) -> int:
 
 
 def cmd_protocol(cfg: dict, out: Path, seed) -> int:
-    grid = _grid_from(cfg)
-    window = _window_from(cfg, required=True)
-    chi = _require(cfg, "chi", float)
-    run_seed = seed if seed is not None else _require(cfg, "seed", int,
-                                                      default=0)
+    tomography = {"n_angles": (int, 16), "samples_per_angle": (int, 100_000),
+                  "chi_p": (float, 10.0)}
+    cfg = _walk(cfg, {
+        "grid": _GRID, "initial": (st.GaussianSpec, MISSING),
+        "window": (ms.OutcomeWindow, MISSING), "chi": (float, MISSING),
+        "omega_kick": (float, 0.0), "n_runs": (int, MISSING),
+        "seed": (int, 0), "two_pulse": (bool, False),
+        "system": (pm.SystemParams, None), "tomography": (tomography, None)})
     nbar_over_q = None
-    if "system" in cfg:
-        system = _parsed("config.system", pm.system_from_dict, cfg["system"])
-        nbar_over_q = _parsed("config.system", pm.derive, system).nbar_over_q
-    tomo = cfg.get("tomography")
-    angles, spa, chi_p = (), 0, 10.0
-    if tomo is not None:
-        if not isinstance(tomo, dict):
-            raise ConfigError("config.tomography must be an object")
-        n_angles = _require(tomo, "n_angles", int, "config.tomography", 16)
-        angles = tuple(k * math.pi / n_angles for k in range(n_angles))
-        spa = _require(tomo, "samples_per_angle", int, "config.tomography",
-                       100_000)
-        chi_p = _require(tomo, "chi_p", float, "config.tomography", 10.0)
+    if cfg["system"] is not None:
+        nbar_over_q = _parsed("config.system", pm.derive,
+                              cfg["system"]).nbar_over_q
+    tomo = cfg["tomography"]
+    if tomo is not None and tomo["n_angles"] < 1:
+        raise ConfigError("config.tomography.n_angles must be >= 1")
+    tomo = tomo or {"n_angles": 0, "samples_per_angle": 0, "chi_p": 10.0}
     config = _parsed(
         "config", pr.ProtocolConfig,
-        initial=_spec_from(cfg, "initial"), chi=chi, window=window,
-        n_runs=_require(cfg, "n_runs", int), seed=run_seed,
-        omega_kick=_require(cfg, "omega_kick", float, default=0.0),
-        two_pulse=_require(cfg, "two_pulse", bool, default=False),
-        tomography_angles=angles, samples_per_angle=spa,
-        tomography_chi_p=chi_p, nbar_over_q=nbar_over_q)
-    summary = pr.run_protocol(config, grid=grid)
+        initial=cfg["initial"], chi=cfg["chi"], window=cfg["window"],
+        n_runs=cfg["n_runs"], seed=cfg["seed"] if seed is None else seed,
+        omega_kick=cfg["omega_kick"], two_pulse=cfg["two_pulse"],
+        tomography_angles=tuple(k * math.pi / tomo["n_angles"]
+                                for k in range(tomo["n_angles"])),
+        samples_per_angle=tomo["samples_per_angle"],
+        tomography_chi_p=tomo["chi_p"], nbar_over_q=nbar_over_q)
+    summary = pr.run_protocol(config, grid=cfg["grid"])
     pr.records_to_jsonl(summary.records, out / "runs.jsonl")
     _write(out, "summary.json", pr.summary_to_json(summary) + "\n")
     if summary.mean_state is not None:
@@ -247,14 +255,17 @@ def cmd_protocol(cfg: dict, out: Path, seed) -> int:
 
 
 def cmd_verify(cfg: dict, out: Path, seed) -> int:
-    names = cfg.get("checks")
-    if names is not None and (not isinstance(names, list)
-                              or not all(isinstance(n, str) for n in names)):
-        raise ConfigError("config.checks must be a list of check names")
-    overrides = cfg.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("config.overrides must be an object")
-    results, skipped = vf.run_checks(names, overrides)
+    cfg = _walk(cfg, {"checks": (list, None), "overrides": (dict, {})})
+    for i, name in enumerate(cfg["checks"] or ()):
+        _read(name, str, f"config.checks[{i}]")
+    overrides = {key: _read(val, float, f"config.overrides.{key}")
+                 for key, val in cfg["overrides"].items()}
+    results, skipped = vf.run_checks(cfg["checks"], overrides)
+    ran = {r.name for r in results}
+    for key in overrides:
+        if key not in ran:
+            raise ConfigError(f"config.overrides.{key} names no check row "
+                              "that ran")
     report = vf.report_to_dict(results, skipped)
     _write(out, "verify.json", json.dumps(report, indent=2) + "\n")
     width = max((len(r.name) for r in results), default=10)

@@ -39,7 +39,6 @@ __all__ = [
     "thermal_occupation",
     "cavity_shift_after_kick",
     "derive",
-    "system_from_dict",
     "derived_to_json",
     "format_table",
 ]
@@ -254,26 +253,8 @@ def derive(params: SystemParams) -> DerivedParams:
 
 
 # ---------------------------------------------------------------------------
-# external interface: JSON in, JSON + aligned text table out
+# external interface: JSON + aligned text table out
 # ---------------------------------------------------------------------------
-
-def system_from_dict(raw) -> SystemParams:
-    """SystemParams from a JSON object; DomainError names any bad field."""
-    if not isinstance(raw, dict):
-        raise DomainError("system parameters must be a JSON object of "
-                          "SI-unit fields")
-    unknown = set(raw) - set(SystemParams.__dataclass_fields__)
-    if unknown:
-        raise DomainError(f"unknown parameter fields: {sorted(unknown)}")
-    missing = {"wavelength", "mass", "omega_m", "finesse", "photon_number",
-               "cavity_length"} - set(raw)
-    if missing:
-        raise DomainError(f"missing required parameter fields: {sorted(missing)}")
-    for key, val in raw.items():
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise DomainError(f"field {key!r} must be a number, got {val!r}")
-    return SystemParams(**{k: float(v) for k, v in raw.items()})
-
 
 def derived_to_json(derived: DerivedParams, indent=2) -> str:
     return json.dumps(asdict(derived), indent=indent)

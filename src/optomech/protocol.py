@@ -78,6 +78,12 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.n_runs < 1:
             raise DomainError("n_runs must be >= 1")
+        for name in ("seed", "samples_per_angle"):
+            if getattr(self, name) < 0:
+                raise DomainError(f"{name} must be >= 0")
+        if not (math.isfinite(self.tomography_chi_p)
+                and self.tomography_chi_p > 0):
+            raise DomainError("tomography_chi_p must be finite and positive")
         if not (math.isfinite(self.chi) and self.chi > 0):
             raise DomainError("chi must be finite and positive")
         if not math.isfinite(self.omega_kick):

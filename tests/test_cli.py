@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,9 @@ from optomech import states
 SYSTEM = dict(wavelength=1064e-9, mass=40e-12, omega_m=2 * math.pi * 2e3,
               finesse=5e4, photon_number=1.7e9, cavity_length=750e-6,
               reflectivity=0.5, temperature=25e-3, quality_factor=5e6)
+PROTOCOL = {"initial": {"kind": "ground"}, "chi": 1.0,
+            "window": {"center": 1.5, "width": 0.8}, "n_runs": 10}
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write_cfg(tmp_path, obj, name="cfg.json"):
@@ -205,9 +212,12 @@ def test_protocol_bad_system_block_exit_2(tmp_path, capsys, system, named):
     ("protocol", {"initial": {"kind": "ground"}, "chi": 1.0,
                   "window": {"center": 1.5, "width": 0.8}, "n_runs": 10,
                   "two_pulse": "no"}, "config.two_pulse"),
+    # the initial mode uses no chi, but its type is still checked
+    ("wigner", {"state": {"kind": "ground"}, "mode": "initial", "chi": "x"},
+     "config.chi"),
 ], ids=["measure_omega_kick", "measure_n_outcomes", "state_nbar",
         "pulse_kappa", "protocol_tomography", "grid_x_max", "grid_n_points",
-        "protocol_two_pulse"])
+        "protocol_two_pulse", "wigner_unused_chi"])
 def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
@@ -218,11 +228,58 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 1},
      "n_outcomes"),
     ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": -1.0}, "kappa"),
-], ids=["measure_one_outcome", "pulse_negative_kappa"])
+    ("protocol", {**PROTOCOL, "tomography": {"samples_per_angle": -5}},
+     "samples_per_angle"),
+    ("protocol", {**PROTOCOL, "tomography": {"chi_p": -1}}, "chi_p"),
+    ("protocol", {**PROTOCOL, "tomography": {"n_angles": 0}},
+     "config.tomography.n_angles"),
+    ("protocol", {**PROTOCOL, "tomography": {"n_angles": -3}},
+     "config.tomography.n_angles"),
+    ("protocol", {**PROTOCOL, "seed": -1}, "seed"),
+], ids=["measure_one_outcome", "pulse_negative_kappa",
+        "tomography_negative_samples", "tomography_negative_chi_p",
+        "tomography_zero_angles", "tomography_negative_angles",
+        "protocol_negative_seed"])
 def test_out_of_range_field_exit_2(tmp_path, capsys, command, cfg, named):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, cfg, named", [
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "omega_kik": 2.0},
+     "config.omega_kik"),
+    ("measure", {"state": {"kind": "ground", "nbarr": 3}, "chi": 1.0},
+     "config.state.nbarr"),
+    ("state", {"state": {"kind": "ground"},
+               "grid": {"x_max": 8.0, "npoints": 64}}, "config.grid.npoints"),
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0,
+                 "window": {"center": 1.5, "width": 0.8, "halfwidth": 0.4}},
+     "config.window.halfwidth"),
+    ("protocol", {**PROTOCOL, "tomography": {"nangles": 4}},
+     "config.tomography.nangles"),
+    ("params", {"system": {**SYSTEM, "finess": 1e4}}, "config.system.finess"),
+], ids=["omega_kik", "state_nbarr", "grid_npoints", "window_halfwidth",
+        "tomography_nangles", "system_finess"])
+def test_unknown_field_exit_2(tmp_path, capsys, command, cfg, named):
+    code, _ = run(tmp_path, command, cfg)
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
+def test_empty_grid_exit_2(tmp_path, capsys):
+    code, _ = run(tmp_path, "state", {"state": {"kind": "ground"}, "grid": {}})
+    assert code == 2
+    assert "config.grid.x_max is required" in capsys.readouterr().err
+
+
+def test_negligible_window_exit_1(tmp_path, capsys):
+    # the config parses; the computation then fails, which is exit 1
+    cfg = {"state": {"kind": "ground"}, "chi": 1.0,
+           "window": {"center": 30.0, "width": 0.1}}
+    code, _ = run(tmp_path, "measure", cfg)
+    assert code == 1
+    assert "negligible probability" in capsys.readouterr().err
 
 
 def test_verify_subset_passes(tmp_path):
@@ -240,6 +297,32 @@ def test_verify_perturbed_target_fails(tmp_path):
     assert code == 1
     doc = json.loads((out / "verify.json").read_text())
     assert doc["n_failed"] == 1
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"table1.x0": "abc"}, "config.overrides.table1.x0 must be of type float"),
+    ({"table1.x0": True}, "config.overrides.table1.x0 must be of type float"),
+    ({"table1.chi": 1.0}, "config.overrides.table1.chi names no check row"),
+], ids=["non_numeric", "bool", "unknown_row"])
+def test_verify_bad_override_exit_2(tmp_path, capsys, overrides, message):
+    code, out = run(tmp_path, "verify", {"checks": ["table1"],
+                                         "overrides": overrides})
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
+def test_module_entry_point_runs_without_warning(tmp_path):
+    # `python -m optomech.cli` must not find the module already imported
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    cfg = write_cfg(tmp_path, {"checks": ["rethermalization"]})
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "optomech.cli",
+         "verify", "--config", cfg, "--out", str(tmp_path / "out")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_verify_unknown_check_skips_with_warning(tmp_path, capsys):

@@ -4,7 +4,6 @@ Reference numbers were computed independently with scipy/CODATA constants
 (direct formula evaluation) before the module was written.
 """
 
-import json
 import math
 
 import pytest
@@ -197,27 +196,6 @@ def test_short_pulse_warning_state():
     assert not slow.short_pulse_ok
 
 
-def test_json_round_trip(tmp_path):
-    path = tmp_path / "params.json"
-    path.write_text(json.dumps(TABLE1))
-    with open(path, encoding="utf-8") as fh:
-        system = pm.system_from_dict(json.load(fh))
-    assert system == pm.SystemParams(**TABLE1)
-    derived = pm.derive(system)
-    doc = json.loads(pm.derived_to_json(derived))
-    assert doc["chi_x"] == pytest.approx(derived.chi_x)
-
-
-def test_load_rejects_bad_files(tmp_path):
-    path = tmp_path / "bad.json"
-    for raw in ({"wavelength": 1e-6}, {**TABLE1, "bogus": 1.0},
-                {**TABLE1, "mass": "heavy"}):
-        path.write_text(json.dumps(raw))
-        with open(path, encoding="utf-8") as fh:
-            with pytest.raises(DomainError):
-                pm.system_from_dict(json.load(fh))
-
-
 def test_format_table_mirrors_layout():
     system = pm.SystemParams(**TABLE1)
     table = pm.format_table(system, pm.derive(system))
@@ -234,14 +212,6 @@ def test_format_table_mirrors_layout():
 def test_system_params_reject_non_finite(field, value):
     with pytest.raises(DomainError, match=field):
         pm.SystemParams(**{**TABLE1, field: value})
-
-
-def test_system_from_dict_names_bad_field():
-    with pytest.raises(DomainError, match="bogus"):
-        pm.system_from_dict({**TABLE1, "bogus": 1})
-    with pytest.raises(DomainError, match="wavelength"):
-        pm.system_from_dict({**TABLE1, "wavelength": "x"})
-    assert pm.system_from_dict(TABLE1) == pm.SystemParams(**TABLE1)
 
 
 def test_system_params_validation():

@@ -69,6 +69,24 @@ def test_lorentzian_hwhm():
     assert power_hwhm == pytest.approx(power_dc / 2.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("envelope, amplitude, tol", [
+    (P.optimal_square_spectrum, P.optimal_spectrum_amplitude, 3e-5),
+    (P.lorentzian_spectrum, P.lorentzian_spectrum_amplitude, 3e-4),
+], ids=["optimal", "lorentzian"])
+def test_envelope_transform_matches_spectrum_amplitude(envelope, amplitude,
+                                                       tol):
+    # the stated amplitude spectra are the oracles of the time-domain
+    # envelopes: (2 pi)^(-1/2) int alpha(t) exp(-i omega t) dt, by
+    # trapezoid on the envelope's own grid; measured max |diff| is 8.4e-6
+    # (optimal) and 1.1e-4 (Lorentzian, whose log spike at t = 0 is clipped)
+    env = envelope(KAPPA)
+    omega = np.linspace(-6.0, 6.0, 49)
+    transform = np.array([
+        np.trapezoid(env.samples * np.exp(-1j * w * env.t_axis), env.t_axis)
+        for w in omega]) / math.sqrt(2.0 * math.pi)
+    assert np.max(np.abs(transform - amplitude(omega, KAPPA))) < tol
+
+
 def test_lorentzian_pulse_is_narrower_in_time(optimal_modes,
                                               lorentzian_modes):
     # the matched X^2 spectrum decays faster in frequency, so its pulse is
