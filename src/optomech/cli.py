@@ -2,8 +2,9 @@
 
     optomech <command> --config cfg.json --out outdir [--seed N]
 
-Commands: params, state, measure, wigner, pulse, protocol, verify.  Every
-command is deterministic given (config, seed) and overwrites its outputs
+Commands: params, state, measure, wigner, pulse, protocol, verify.  --seed
+sets the protocol config's seed; any other command rejects it.  Every
+command is deterministic given its config and overwrites its outputs
 with stable file names.  Each command reads its config through one table of
 fields; an unknown key at any level is a config error.  Exit codes: 0
 success; 1 verification failure, or a computation error raised after the
@@ -120,7 +121,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 # command handlers
 # ---------------------------------------------------------------------------
 
-def cmd_params(cfg: dict, out: Path, seed) -> int:
+def cmd_params(cfg: dict, out: Path) -> int:
     system = _walk(cfg, {"system": (pm.SystemParams, MISSING)})["system"]
     derived = _parsed("config.system", pm.derive, system)
     _write(out, "params.json", pm.derived_to_json(derived) + "\n")
@@ -128,7 +129,7 @@ def cmd_params(cfg: dict, out: Path, seed) -> int:
     return 0
 
 
-def cmd_state(cfg: dict, out: Path, seed) -> int:
+def cmd_state(cfg: dict, out: Path) -> int:
     cfg = _walk(cfg, _STATE)
     state = st.make_gaussian(cfg["grid"], cfg["state"])
     st.state_to_npz(state, out / "state.npz")
@@ -140,7 +141,7 @@ def cmd_state(cfg: dict, out: Path, seed) -> int:
     return 0
 
 
-def cmd_measure(cfg: dict, out: Path, seed) -> int:
+def cmd_measure(cfg: dict, out: Path) -> int:
     cfg = _walk(cfg, {**_STATE, "chi": (float, MISSING),
                       "omega_kick": (float, 0.0),
                       "window": (ms.OutcomeWindow, None),
@@ -162,7 +163,7 @@ def cmd_measure(cfg: dict, out: Path, seed) -> int:
     return 0
 
 
-def cmd_wigner(cfg: dict, out: Path, seed) -> int:
+def cmd_wigner(cfg: dict, out: Path) -> int:
     cfg = _walk(cfg, {**_STATE, "mode": (str, "initial"),
                       "label": (str, lambda got: got["mode"]),
                       "chi": (float, None), "omega_kick": (float, 0.0),
@@ -187,7 +188,7 @@ def cmd_wigner(cfg: dict, out: Path, seed) -> int:
     return 0
 
 
-def cmd_pulse(cfg: dict, out: Path, seed) -> int:
+def cmd_pulse(cfg: dict, out: Path) -> int:
     cfg = _walk(cfg, {"kappa": (float, 1.0), "photon_number": (float, MISSING),
                       "g_lin": (float, MISSING),
                       "spectrum": (str, "square_optimal")})
@@ -214,7 +215,7 @@ def cmd_pulse(cfg: dict, out: Path, seed) -> int:
     return 0
 
 
-def cmd_protocol(cfg: dict, out: Path, seed) -> int:
+def cmd_protocol(cfg: dict, out: Path) -> int:
     tomography = {"n_angles": (int, 16), "samples_per_angle": (int, 100_000),
                   "chi_p": (float, 10.0)}
     cfg = _walk(cfg, {
@@ -234,7 +235,7 @@ def cmd_protocol(cfg: dict, out: Path, seed) -> int:
     config = _parsed(
         "config", pr.ProtocolConfig,
         initial=cfg["initial"], chi=cfg["chi"], window=cfg["window"],
-        n_runs=cfg["n_runs"], seed=cfg["seed"] if seed is None else seed,
+        n_runs=cfg["n_runs"], seed=cfg["seed"],
         omega_kick=cfg["omega_kick"], two_pulse=cfg["two_pulse"],
         tomography_angles=tuple(k * math.pi / tomo["n_angles"]
                                 for k in range(tomo["n_angles"])),
@@ -254,7 +255,7 @@ def cmd_protocol(cfg: dict, out: Path, seed) -> int:
     return 0
 
 
-def cmd_verify(cfg: dict, out: Path, seed) -> int:
+def cmd_verify(cfg: dict, out: Path) -> int:
     cfg = _walk(cfg, {"checks": (list, None), "overrides": (dict, {})})
     for i, name in enumerate(cfg["checks"] or ()):
         _read(name, str, f"config.checks[{i}]")
@@ -302,12 +303,17 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (created if missing)")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
+                        help="override the config seed (protocol only)")
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args.config)
+        if args.seed is not None:
+            if args.command != "protocol":
+                raise ConfigError(f"--seed applies only to protocol, not "
+                                  f"{args.command}")
+            cfg["seed"] = args.seed
         args.out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](cfg, args.out, args.seed)
+        return COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

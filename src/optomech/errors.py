@@ -22,7 +22,8 @@ class ConditioningError(OptomechError, ValueError):
 
 
 class RangeError(OptomechError, ValueError):
-    """A sampling range clips a non-negligible amount of probability mass."""
+    """An outcome grid too coarse (too few outcomes) to resolve the
+    probability mass."""
 
 
 class TruncationError(OptomechError, ValueError):

@@ -173,28 +173,26 @@ class OutcomeDistribution:
 
 
 def outcome_pdf(state: DensityMatrixGrid, chi: float,
-                n_outcomes: int = DEFAULT_N_OUTCOMES,
-                q_range=None, clip_tol: float = 1e-4) -> OutcomeDistribution:
+                n_outcomes: int = DEFAULT_N_OUTCOMES) -> OutcomeDistribution:
     """Homodyne outcome density P(q) = integral dx rho(x,x) |U(x; q)|^2.
 
     The density is independent of the kick (the phase cancels in U^dag U).
-    Default outcome range [-6, chi x_max^2 + 6] covers shot noise plus the
-    full deterministic range of chi x^2 on the grid; raises RangeError when
-    a custom range clips more than clip_tol of the probability mass.
+    The outcome range [-6, chi x_max^2 + 6] covers shot noise plus the full
+    deterministic range of chi x^2 on the grid, so its tails are negligible;
+    raises RangeError when n_outcomes is too coarse to resolve all but 1e-4
+    of the probability mass.
     """
     if chi < 0:
         raise DomainError("chi must be non-negative")
     if n_outcomes < 2:
         raise DomainError(f"n_outcomes must be >= 2, got {n_outcomes!r}")
     xs = state.grid.xs
-    if q_range is None:
-        q_range = (-6.0, chi * state.grid.x_max**2 + 6.0)
-    q_axis = np.linspace(q_range[0], q_range[1], n_outcomes)
+    q_axis = np.linspace(-6.0, chi * state.grid.x_max**2 + 6.0, n_outcomes)
     pdf = outcome_kernel(q_axis, xs, chi) @ state.diagonal() * state.grid.dx
     dist = OutcomeDistribution(q_axis, pdf)
-    if dist.mass < 1.0 - clip_tol:
-        raise RangeError(f"outcome range {q_range} clips "
-                         f"{1.0 - dist.mass:.2e} of the probability mass")
+    if dist.mass < 1.0 - 1e-4:
+        raise RangeError(f"n_outcomes = {n_outcomes} resolves a probability "
+                         f"mass of only {dist.mass:.4g}; use more outcomes")
     return dist
 
 
@@ -242,21 +240,16 @@ def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
     return _normalized(state, raw, f"window {window}")
 
 
-def _simpson_weights(a: float, b: float, n: int) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise DomainError("Simpson rule needs an odd number of points >= 3")
-    w = np.ones(n)
+def _simpson_gram(xs: np.ndarray, chi: float, lo: float, hi: float,
+                  n_q: int) -> np.ndarray:
+    """sum_k w_k |U(x; q_k)| |U(x'; q_k)| over n_q (odd) Simpson nodes on
+    [lo, hi], chunk nodes per product, accumulated in a real kernel."""
+    chunk = 512
+    q_nodes = np.linspace(lo, hi, n_q)
+    w = np.ones(n_q)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w * (b - a) / (n - 1) / 3.0
-
-
-def _simpson_gram(xs: np.ndarray, chi: float, lo: float, hi: float, n_q: int,
-                  chunk: int = 512) -> np.ndarray:
-    """sum_k w_k |U(x; q_k)| |U(x'; q_k)| over n_q Simpson nodes on [lo, hi],
-    chunk nodes per product, accumulated in a real kernel."""
-    q_nodes = np.linspace(lo, hi, n_q)
-    w = _simpson_weights(lo, hi, n_q)
+    w = w * (hi - lo) / (n_q - 1) / 3.0
     kern = np.zeros((xs.size, xs.size))
     for start in range(0, n_q, chunk):
         kern += _gram(_envelopes(xs, chi, q_nodes[start:start + chunk])
@@ -265,17 +258,16 @@ def _simpson_gram(xs: np.ndarray, chi: float, lo: float, hi: float, n_q: int,
 
 
 def condition_window_quadrature(state: DensityMatrixGrid, chi: float,
-                                omega_kick: float, window: OutcomeWindow,
-                                n_q: int = 201):
+                                omega_kick: float, window: OutcomeWindow):
     """Quadrature oracle for condition_window: explicit Simpson sum over q.
 
-    The kernel is sum_k w_k U(x; q_k) U*(x'; q_k) over n_q Simpson nodes,
+    The kernel is sum_k w_k U(x; q_k) U*(x'; q_k) over 201 Simpson nodes,
     summed over the Kraus moduli, not the closed-form erf kernel, so the two
     q integrals stay independent; only the q-independent kick phase
     e^{i w (x - x')} is shared, as a factor outside the sum.
     """
     xs = state.grid.xs
-    kern = _simpson_gram(xs, chi, window.lo, window.hi, n_q) \
+    kern = _simpson_gram(xs, chi, window.lo, window.hi, 201) \
         * _kick_phase(np.exp(1j * omega_kick * xs))
     return _normalized(state, state.rho * kern, f"window {window}")
 
@@ -297,19 +289,17 @@ def uncondition(state: DensityMatrixGrid, chi: float,
 
 
 def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
-                           omega_kick: float, n_q: int = 16001,
-                           pad: float = 8.5,
-                           chunk: int = 512) -> DensityMatrixGrid:
+                           omega_kick: float) -> DensityMatrixGrid:
     """Quadrature oracle for uncondition: Simpson over the full outcome line.
 
-    The outcome range [-pad, chi x_max^2 + pad] leaves sub-1e-12 Gaussian
-    tails; n_q = 16001 puts the composite-Simpson error safely below 1e-9.
-    The sum runs over the Kraus moduli, chunk nodes at a time, not over the
-    closed form's exp(-d^2); only the q-independent kick phase is shared.
+    The outcome range [-8.5, chi x_max^2 + 8.5] leaves sub-1e-12 Gaussian
+    tails; 16001 nodes put the composite-Simpson error safely below 1e-9.
+    The sum runs over the Kraus moduli, not over the closed form's
+    exp(-d^2); only the q-independent kick phase is shared.
     """
     xs = state.grid.xs
-    kern = _simpson_gram(xs, chi, -pad, chi * state.grid.x_max**2 + pad, n_q,
-                         chunk) * _kick_phase(np.exp(1j * omega_kick * xs))
+    kern = _simpson_gram(xs, chi, -8.5, chi * state.grid.x_max**2 + 8.5,
+                         16001) * _kick_phase(np.exp(1j * omega_kick * xs))
     return DensityMatrixGrid(state.grid, state.rho * kern)
 
 
@@ -319,7 +309,5 @@ def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
 
 def pdf_to_csv(dist: OutcomeDistribution, path) -> None:
     """Two-column CSV (q, P) of a sampled outcome density."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("q,P\n")
-        for q, p in zip(dist.q_axis, dist.pdf):
-            fh.write(f"{q:.12g},{p:.12g}\n")
+    np.savetxt(path, np.column_stack([dist.q_axis, dist.pdf]), fmt="%.12g",
+               delimiter=",", header="q,P", comments="")

@@ -256,8 +256,8 @@ def derive(params: SystemParams) -> DerivedParams:
 # external interface: JSON + aligned text table out
 # ---------------------------------------------------------------------------
 
-def derived_to_json(derived: DerivedParams, indent=2) -> str:
-    return json.dumps(asdict(derived), indent=indent)
+def derived_to_json(derived: DerivedParams) -> str:
+    return json.dumps(asdict(derived), indent=2)
 
 
 def format_table(params: SystemParams, derived: DerivedParams) -> str:

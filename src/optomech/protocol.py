@@ -56,6 +56,7 @@ __all__ = [
 ]
 
 _BLOCK_RUNS = 256  # runs per block: bounds the block arrays to a few MB
+_RECON_STRIDE = 4  # tomography detector axis: every 4th state-grid point
 
 
 @dataclass(frozen=True)
@@ -159,20 +160,17 @@ def rotate_half_period(state: DensityMatrixGrid) -> DensityMatrixGrid:
 # ---------------------------------------------------------------------------
 
 def two_pulse_prepare(state: DensityMatrixGrid, chi: float, omega: float,
-                      windows):
+                      window: OutcomeWindow):
     """Windowed two-pulse sequence: pulse, half period, pulse.
 
-    Both pulses kick by +omega; the parity flip in between telescopes the
-    kicks away, so a zero-mean-momentum input leaves with zero mean momentum.
-    `windows` is one OutcomeWindow (used for both pulses) or a pair.
+    Both pulses kick by +omega and post-select on the same window; the
+    parity flip in between telescopes the kicks away, so a zero-mean-momentum
+    input leaves with zero mean momentum.
     Returns (state, joint window probability).
     """
-    if isinstance(windows, OutcomeWindow):
-        windows = (windows, windows)
-    w1, w2 = windows
-    mid, p1 = condition_window(state, chi, omega, w1)
+    mid, p1 = condition_window(state, chi, omega, window)
     mid = rotate_half_period(mid)
-    out, p2 = condition_window(mid, chi, omega, w2)
+    out, p2 = condition_window(mid, chi, omega, window)
     return out, p1 * p2
 
 
@@ -294,18 +292,18 @@ def _ramp_filtered(projection: np.ndarray, ds: float) -> np.ndarray:
 
 
 def tomography(state: DensityMatrixGrid, angles, chi_p: float,
-               samples_per_angle: int, rng: np.random.Generator | None,
-               fock_dim: int = DEFAULT_FOCK_DIM, recon_stride: int = 4):
+               samples_per_angle: int, rng: np.random.Generator,
+               fock_dim: int = DEFAULT_FOCK_DIM):
     """Reconstruct the Wigner function from rotated-quadrature homodyne data.
 
     At each angle the state is freely evolved, its position marginal is
     sampled through the phase-quadrature readout (Gaussian shot noise of
     variance 1/2 on chi_p x, so scaled outcomes x + N(0, 1/(2 chi_p^2))),
     and filtered back-projection over the angle set yields W on a square
-    detector grid (every recon_stride-th point of the state grid), whose
-    Nyquist frequency is where the ramp filter's cosine rolloff ends.
-    samples_per_angle = 0 (or rng None) switches to the noiseless limit:
-    the exact marginal convolved with the shot-noise blur.
+    detector grid (every 4th point of the state grid), whose Nyquist
+    frequency is where the ramp filter's cosine rolloff ends.
+    samples_per_angle = 0 switches to the noiseless limit, the exact
+    marginal convolved with the shot-noise blur, and leaves rng unread.
 
     Returns (WignerGrid, report).  The report carries the blur variance
     (not deconvolved), the raw back-projection integral before the final
@@ -319,16 +317,15 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
         raise DomainError("angles must lie in [0, pi)")
     if np.unique(angles).size != angles.size:
         raise DomainError("angles must be distinct")
-    few = angles.size < 8 or (rng is not None
-                              and 0 < samples_per_angle < 10_000)
+    few = angles.size < 8 or 0 < samples_per_angle < 10_000
     xs = state.grid.xs
     dx = state.grid.dx
-    s_axis = xs[::recon_stride]
+    s_axis = xs[::_RECON_STRIDE]
     ds = float(s_axis[1] - s_axis[0])
     blur_var = 1.0 / (2.0 * chi_p**2)
     fock = grid_to_fock(state, fock_dim)
 
-    exact = rng is None or samples_per_angle == 0
+    exact = samples_per_angle == 0
     edges = np.concatenate([s_axis - 0.5 * ds, [s_axis[-1] + 0.5 * ds]])
     filtered = []
     for theta in angles:
@@ -361,7 +358,7 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
         recon = recon / raw_integral
     wg = WignerGrid(s_axis.copy(), s_axis.copy(), recon)
 
-    truth_w = wigner_transform(state, p_axis=s_axis).w[::recon_stride, :]
+    truth_w = wigner_transform(state, p_axis=s_axis).w[::_RECON_STRIDE, :]
     corr = float(np.sum(recon * truth_w)
                  / math.sqrt(np.sum(recon**2) * np.sum(truth_w**2)))
     if few:
@@ -394,7 +391,7 @@ def records_to_jsonl(records, path) -> None:
                                  "accepted": rec.accepted}) + "\n")
 
 
-def summary_to_json(summary: ProtocolSummary, indent: int = 2) -> str:
+def summary_to_json(summary: ProtocolSummary) -> str:
     doc = {
         "n_runs": summary.n_runs,
         "n_accepted": summary.n_accepted,
@@ -406,4 +403,4 @@ def summary_to_json(summary: ProtocolSummary, indent: int = 2) -> str:
         "nbar_over_q": summary.nbar_over_q,
         "tomography": summary.tomography_report,
     }
-    return json.dumps(doc, indent=indent)
+    return json.dumps(doc, indent=2)

@@ -91,12 +91,13 @@ class ModeFunctions:
                      for a in (self.alpha0, self.alpha1, self.alpha2))
 
 
-def default_time_grid(kappa: float, n_points: int = 49153) -> np.ndarray:
-    """t in [-12, +25]/kappa: 12/kappa of pre-pulse room, enough post-pulse
-    decay for the cascade tails to fall below 1e-6 of peak."""
+def default_time_grid(kappa: float) -> np.ndarray:
+    """t in [-12, +25]/kappa on 49153 points: 12/kappa of pre-pulse room,
+    enough post-pulse decay for the cascade tails to fall below 1e-6 of
+    peak."""
     if kappa <= 0:
         raise DomainError("kappa must be positive")
-    return np.linspace(-12.0 / kappa, 25.0 / kappa, n_points)
+    return np.linspace(-12.0 / kappa, 25.0 / kappa, 49153)
 
 
 def _check_time_grid(kappa: float, t_axis: np.ndarray) -> None:
@@ -147,24 +148,23 @@ def optimal_square_spectrum(kappa: float, t_axis=None) -> PulseEnvelope:
     return _finalize_envelope(t_axis, math.sqrt(2.0 / math.pi) * amp * vals)
 
 
-def lorentzian_spectrum(kappa: float, t_axis=None) -> PulseEnvelope:
+def lorentzian_spectrum(kappa: float) -> PulseEnvelope:
     """Time-domain envelope of the Lorentzian-power-spectrum drive.
 
-    alpha(t) = (sqrt(2 kappa)/pi) K_0(kappa |t|); the integrable log spike at
-    t = 0 is clipped at an eighth of a grid cell, and the final unit-norm
-    rescale absorbs the (sub-1e-6) mass error this introduces.
+    alpha(t) = (sqrt(2 kappa)/pi) K_0(kappa |t|) on the default time grid;
+    the integrable log spike at t = 0 is clipped at an eighth of a grid
+    cell, and the final unit-norm rescale absorbs the (sub-1e-6) mass error
+    this introduces.
     """
-    if t_axis is None:
-        t_axis = default_time_grid(kappa)
-    _check_time_grid(kappa, t_axis)
+    t_axis = default_time_grid(kappa)
     dt = float(t_axis[1] - t_axis[0])
     z = np.maximum(kappa * np.abs(t_axis), kappa * dt / 8.0)
     vals = k0e(z) * np.exp(-z)
     return _finalize_envelope(t_axis, (math.sqrt(2.0 * kappa) / math.pi) * vals)
 
 
-def random_smooth_envelope(kappa: float, rng: np.random.Generator,
-                           t_axis=None, n_omega: int = 2049) -> PulseEnvelope:
+def random_smooth_envelope(kappa: float,
+                           rng: np.random.Generator) -> PulseEnvelope:
     """Random smooth drive at matched spectral concentration.
 
     Draws a positive bump mixture for the power spectrum f(omega),
@@ -174,11 +174,12 @@ def random_smooth_envelope(kappa: float, rng: np.random.Generator,
     family cannot beat the matched spectrum's chi, which makes them fair
     probes of the optimality claim.
     """
-    if t_axis is None:
-        # duration matching can stretch the pulse well beyond the matched
-        # spectrum's tails, so the probe grid is much longer than the default
-        t_axis = np.linspace(-50.0 / kappa, 50.0 / kappa, 28673)
-    _check_time_grid(kappa, t_axis)
+    if kappa <= 0:
+        raise DomainError("kappa must be positive")
+    # duration matching can stretch the pulse well beyond the matched
+    # spectrum's tails, so the probe grid is much longer than the default
+    t_axis = np.linspace(-50.0 / kappa, 50.0 / kappa, 28673)
+    n_omega = 2049
     n_bumps = int(rng.integers(2, 6))
     centers = rng.uniform(-1.5 * kappa, 1.5 * kappa, n_bumps)
     widths = rng.uniform(0.6 * kappa, 1.2 * kappa, n_bumps)
@@ -296,8 +297,8 @@ def numeric_momentum_kick(modes: ModeFunctions, photon_number: float,
 
 def modes_to_csv(pulse: PulseEnvelope, modes: ModeFunctions, path) -> None:
     """Five-column CSV: t, alpha_in, alpha0, alpha1, alpha2."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,alpha_in,alpha0,alpha1,alpha2\n")
-        for row in zip(pulse.t_axis, pulse.samples, modes.alpha0,
-                       modes.alpha1, modes.alpha2):
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+    np.savetxt(path, np.column_stack([pulse.t_axis, pulse.samples,
+                                      modes.alpha0, modes.alpha1,
+                                      modes.alpha2]),
+               fmt="%.9g", delimiter=",",
+               header="t,alpha_in,alpha0,alpha1,alpha2", comments="")

@@ -274,28 +274,25 @@ def purity(state: DensityMatrixGrid) -> float:
     return float(np.sum(np.abs(state.rho) ** 2) * state.grid.dx**2)
 
 
-def validate_state(state: DensityMatrixGrid, hermit_tol: float = 1e-10,
-                   trace_tol: float = 1e-8, positivity_tol: float = 1e-8,
-                   check_positivity: bool = True) -> None:
+def validate_state(state: DensityMatrixGrid) -> None:
     """Assert the density-matrix invariants; raises DomainError on violation.
 
-    Positivity means the smallest eigenvalue of the grid-measure operator
-    rho * dx is above -positivity_tol (discretization can produce tiny
-    negative eigenvalues).
+    Hermitian to 1e-10 of the largest entry, unit trace to 1e-8, and
+    positive: the smallest eigenvalue of the grid-measure operator rho * dx
+    is above -1e-8 (discretization can produce tiny negative eigenvalues).
     """
     rho = state.rho
     scale = float(np.max(np.abs(rho)))
     herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if not herm < hermit_tol * scale:
+    if not herm < 1e-10 * scale:
         raise DomainError(f"not Hermitian: max|rho - rho^dag| = {herm:.3e} "
                           f"vs scale {scale:.3e}")
     tr = state.trace()
-    if not abs(tr - 1.0) < trace_tol:
+    if not abs(tr - 1.0) < 1e-8:
         raise DomainError(f"trace {tr!r} deviates from 1 by {abs(tr - 1):.3e}")
-    if check_positivity:
-        eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T) * state.grid.dx)
-        if not eigs[0] >= -positivity_tol:
-            raise DomainError(f"negative eigenvalue {eigs[0]:.3e}")
+    eigs = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T) * state.grid.dx)
+    if not eigs[0] >= -1e-8:
+        raise DomainError(f"negative eigenvalue {eigs[0]:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +317,5 @@ def state_from_npz(path) -> DensityMatrixGrid:
 
 def diagonal_to_csv(state: DensityMatrixGrid, path) -> None:
     """Two-column CSV (x, rho(x,x)) for plotting."""
-    xs = state.grid.xs
-    diag = state.diagonal()
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,density\n")
-        for x, d in zip(xs, diag):
-            fh.write(f"{x:.12g},{d:.12g}\n")
+    np.savetxt(path, np.column_stack([state.grid.xs, state.diagonal()]),
+               fmt="%.12g", delimiter=",", header="x,density", comments="")

@@ -114,17 +114,17 @@ def check_window_probabilities(overrides) -> list[CheckResult]:
 # criterion 3: Monte-Carlo acceptance consistency
 # ---------------------------------------------------------------------------
 
-def check_monte_carlo(overrides, seed=DEFAULT_SEED) -> list[CheckResult]:
+def check_monte_carlo(overrides) -> list[CheckResult]:
     cfg = pr.ProtocolConfig(initial=st.GaussianSpec("ground"), chi=1.0,
                             window=ms.OutcomeWindow(1.5, 0.8),
-                            n_runs=10_000, seed=seed)
+                            n_runs=10_000, seed=DEFAULT_SEED)
     summary = pr.run_protocol(cfg)
     p0 = summary.closed_form_probability
     se = math.sqrt(p0 * (1 - p0) / cfg.n_runs)
     result = _abs("monte_carlo.acceptance",
                   f"MC acceptance over {cfg.n_runs} runs vs closed form",
                   p0, 3 * se, summary.acceptance_rate, overrides)
-    result.detail = f"3 binomial SE = {3 * se:.4f}, seed {seed}"
+    result.detail = f"3 binomial SE = {3 * se:.4f}, seed {DEFAULT_SEED}"
     return [result]
 
 
@@ -313,11 +313,11 @@ def check_rethermalization(overrides) -> list[CheckResult]:
 # criterion 13: tomography round trip
 # ---------------------------------------------------------------------------
 
-def check_tomography(overrides, seed=DEFAULT_SEED) -> list[CheckResult]:
+def check_tomography(overrides) -> list[CheckResult]:
     grid = st.default_grid()
     ground = st.make_gaussian(grid, st.GaussianSpec("ground"))
     angles = [k * math.pi / 16 for k in range(16)]
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(DEFAULT_SEED))
     _, report = pr.tomography(ground, angles, 10.0, 100_000, rng)
     fig2b, _ = ms.condition_window(ground, 1.0, 0.0, ms.OutcomeWindow(1.5, 0.8))
     _, report_b = pr.tomography(fig2b, angles, 10.0, 100_000, rng)

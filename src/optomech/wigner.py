@@ -74,15 +74,13 @@ class SeparationReport:
     """Two-peak separation of a position distribution.
 
     degenerate=True means a single peak (no superposition); then delta and
-    peak_positions are None.  physical_separation [m] is filled only when a
-    zero-point extension was supplied for the quadrature-to-meters
-    conversion x_phys = sqrt(2) x0 X.
+    peak_positions are None.  delta is in quadrature units;
+    physical_separation converts it to meters.
     """
 
     degenerate: bool
     delta: float | None = None
     peak_positions: tuple | None = None
-    physical_separation: float | None = None
 
 
 def _antidiagonal_rows(rho: np.ndarray, m: int, shift: int = 0) -> np.ndarray:
@@ -132,8 +130,8 @@ def negativity(wg: WignerGrid):
     return float(wg.w.min()), float(-np.sum(neg) * wg.dx * wg.dp)
 
 
-def separation_formula(sigma2: float, chi: float, outcome: float,
-                       x0: float | None = None) -> SeparationReport:
+def separation_formula(sigma2: float, chi: float,
+                       outcome: float) -> SeparationReport:
     """Peak separation of a conditioned Gaussian state, in closed form.
 
     The conditioned position density is exp(-x^2 / 2 sigma^2) |U|^2 with
@@ -151,13 +149,11 @@ def separation_formula(sigma2: float, chi: float, outcome: float,
         return SeparationReport(degenerate=True)
     delta = math.sqrt(disc) / chi
     half = 0.5 * delta
-    return SeparationReport(
-        degenerate=False, delta=delta, peak_positions=(-half, half),
-        physical_separation=physical_separation(delta, x0) if x0 else None)
+    return SeparationReport(degenerate=False, delta=delta,
+                            peak_positions=(-half, half))
 
 
-def measure_separation(state: DensityMatrixGrid,
-                       x0: float | None = None) -> SeparationReport:
+def measure_separation(state: DensityMatrixGrid) -> SeparationReport:
     """Locate the two dominant maxima of rho(x, x) and return their distance.
 
     Peaks are refined by a quadratic fit through the three grid points around
@@ -188,9 +184,8 @@ def measure_separation(state: DensityMatrixGrid,
         shift = 0.0 if denom == 0 else 0.5 * (diag[i - 1] - diag[i + 1]) / denom
         pos.append(float(xs[i] + shift * state.grid.dx))
     delta = abs(pos[1] - pos[0])
-    return SeparationReport(
-        degenerate=False, delta=delta, peak_positions=(min(pos), max(pos)),
-        physical_separation=physical_separation(delta, x0) if x0 else None)
+    return SeparationReport(degenerate=False, delta=delta,
+                            peak_positions=(min(pos), max(pos)))
 
 
 def physical_separation(delta: float, x0: float) -> float:
@@ -207,11 +202,9 @@ def physical_separation(delta: float, x0: float) -> float:
 def wigner_to_csv(wg: WignerGrid, path) -> None:
     """Gnuplot nonuniform-matrix CSV: first row carries the p axis, first
     column the x axis (plot with `splot ... nonuniform matrix`)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join([str(wg.p_axis.size)]
-                          + [f"{p:.9g}" for p in wg.p_axis]) + "\n")
-        for x, row in zip(wg.x_axis, wg.w):
-            fh.write(",".join([f"{x:.9g}"] + [f"{v:.9g}" for v in row]) + "\n")
+    header = ",".join([str(wg.p_axis.size)] + [f"{p:.9g}" for p in wg.p_axis])
+    np.savetxt(path, np.column_stack([wg.x_axis, wg.w]), fmt="%.9g",
+               delimiter=",", header=header, comments="")
 
 
 def wigner_sidecar_json(wg: WignerGrid, label: str = "") -> str:

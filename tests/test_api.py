@@ -1,15 +1,29 @@
-"""Each layer module's __all__ names only attributes the module defines.
+"""Each layer module's __all__ names only attributes the module defines, and
+every option of a public function is set by some caller of the program.
 
 bench/tracer.py finds the functions it times through __all__, and
 `from optomech.<layer> import *` fails on a stale entry.
 """
 
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
 LAYERS = ("measurement", "params", "protocol", "pulse", "states",
           "verification", "wigner")
+ROOT = Path(__file__).resolve().parents[1]
+CALLER_DIRS = ("src", "demos", "bench")
+
+# defaulted parameters that no caller outside the tests sets, with the reason
+# each stays an option
+UNSET_ALLOWED = {
+    "pulse.optimal_square_spectrum.t_axis":
+        "the time-grid tests drive the matched envelope on coarse, short and "
+        "long grids; its default grid is the one every caller uses",
+}
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -18,3 +32,51 @@ def test_all_names_resolve(layer):
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]
     assert not missing
     assert len(set(mod.__all__)) == len(mod.__all__)
+
+
+def _calls_by_name():
+    """Every call in the program's own code, keyed by the called name."""
+    calls = {}
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name:
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _sets(call, index, param):
+    """Whether call passes param, by keyword or by enough positionals; a
+    starred argument may reach any parameter."""
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    if any(kw.arg in (None, param.name) for kw in call.keywords):
+        return True
+    return param.kind is not param.KEYWORD_ONLY and len(call.args) > index
+
+
+def test_every_option_has_a_caller():
+    # a defaulted parameter of a public function that only tests set is a
+    # constant in disguise; public means in __all__ or, like the checks in
+    # verification.CHECKS, defined in the layer without a leading underscore
+    calls = _calls_by_name()
+    unset = []
+    for layer in LAYERS:
+        mod = importlib.import_module(f"optomech.{layer}")
+        for name, fn in vars(mod).items():
+            if (name.startswith("_") or not inspect.isfunction(fn)
+                    or fn.__module__ != mod.__name__):
+                continue
+            params = inspect.signature(fn).parameters.values()
+            for index, param in enumerate(params):
+                if param.default is param.empty:
+                    continue
+                if not any(_sets(call, index, param)
+                           for call in calls.get(name, ())):
+                    unset.append(f"{layer}.{name}.{param.name}")
+    assert sorted(set(unset) - set(UNSET_ALLOWED)) == []
+    assert sorted(set(UNSET_ALLOWED) - set(unset)) == []

@@ -166,6 +166,13 @@ def test_protocol_seed_flag_overrides_config(tmp_path):
     assert base["acceptance_rate"] != override["acceptance_rate"]
 
 
+def test_seed_flag_rejected_outside_protocol(tmp_path, capsys):
+    code, out = run(tmp_path, "verify", extra=["--seed", "5"])
+    assert code == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
+
+
 @pytest.mark.parametrize("cfg, named", [
     ({"window": {"center": math.nan, "width": 0.8}}, "config.window"),
     ({"chi": math.nan}, "chi"),
@@ -227,6 +234,8 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
 @pytest.mark.parametrize("command, cfg, named", [
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 1},
      "n_outcomes"),
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 4},
+     "n_outcomes"),
     ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": -1.0}, "kappa"),
     ("protocol", {**PROTOCOL, "tomography": {"samples_per_angle": -5}},
      "samples_per_angle"),
@@ -236,7 +245,8 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
     ("protocol", {**PROTOCOL, "tomography": {"n_angles": -3}},
      "config.tomography.n_angles"),
     ("protocol", {**PROTOCOL, "seed": -1}, "seed"),
-], ids=["measure_one_outcome", "pulse_negative_kappa",
+], ids=["measure_one_outcome", "measure_coarse_outcomes",
+        "pulse_negative_kappa",
         "tomography_negative_samples", "tomography_negative_chi_p",
         "tomography_zero_angles", "tomography_negative_angles",
         "protocol_negative_seed"])

@@ -55,3 +55,22 @@ def test_maps_keep_density_matrix_invariants(spec, chi, omega, offset,
                 PR.momentum_kick(state, omega),
                 PR.rotate_half_period(state)):
         states.validate_state(out)
+
+
+def _fock_invariants(fock):
+    rho = fock.rho
+    herm = float(np.max(np.abs(rho - rho.conj().T)))
+    smallest = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
+    purity = float(np.real(np.trace(rho @ rho)))
+    return np.array([fock.trace(), herm, smallest, purity])
+
+
+@settings(max_examples=40)
+@given(spec=specs, theta=hs.floats(-2.0 * np.pi, 2.0 * np.pi))
+def test_free_evolve_keeps_density_matrix_invariants(spec, theta):
+    # a diagonal phase map is unitary: trace, Hermiticity, spectrum and
+    # purity of the Fock-basis matrix must all survive it
+    fock = states.grid_to_fock(states.make_gaussian(GRID, spec), 32)
+    before = _fock_invariants(fock)
+    after = _fock_invariants(PR.free_evolve(fock, theta))
+    assert np.max(np.abs(after - before)) <= 1e-12

@@ -118,13 +118,6 @@ def test_two_pulse_zero_strength_is_pure_kinematics(ground):
     assert abs(states.moments(out)[1]) < 1e-9
 
 
-def test_two_pulse_window_pair(ground):
-    out, prob = PR.two_pulse_prepare(ground, 1.0, 0.0,
-                                     (window(1.5, 0.8), window(1.2, 0.6)))
-    states.validate_state(out)
-    assert 0.0 < prob < 1.0
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------

@@ -226,6 +226,8 @@ def test_time_grid_validation():
         P.optimal_square_spectrum(KAPPA, np.linspace(-5.0, 5.0, 4097))
     with pytest.raises(DomainError):
         P.default_time_grid(-1.0)
+    with pytest.raises(DomainError):
+        P.random_smooth_envelope(-1.0, np.random.default_rng(0))
 
 
 def test_nondecaying_drive_rejected():

@@ -140,11 +140,6 @@ def test_separation_formula_boundary():
     assert W.separation_formula(0.5, 1.0, -1.0).degenerate
 
 
-def test_separation_formula_carries_physical_length():
-    rep = W.separation_formula(0.5, 1.0, 1.5, x0=10e-15)
-    assert rep.physical_separation == pytest.approx(28.28e-15, rel=1e-3)
-
-
 def test_measured_separation_matches_formula(ground, thermal2, squeezed):
     cases = [(ground, 1.5, 0.5), (thermal2, 1.5, 2.5), (squeezed, 6.4, np.e / 2)]
     for state, outcome, sigma2 in cases:
