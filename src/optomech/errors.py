@@ -22,8 +22,8 @@ class ConditioningError(OptomechError, ValueError):
 
 
 class RangeError(OptomechError, ValueError):
-    """An outcome grid too coarse (too few outcomes) to resolve the
-    probability mass."""
+    """An outcome grid too coarse (too few outcomes): it resolves a mass of
+    the outcome density that is not 1 to within 1e-4."""
 
 
 class TruncationError(OptomechError, ValueError):

@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import DomainError, GridError, NarrowGridWarning, TruncationError
 
@@ -161,7 +162,10 @@ def make_gaussian(grid: QuadratureGrid, spec: GaussianSpec) -> DensityMatrixGrid
                                           - Vp v^2 / 2 + i <p> v]
 
     which reproduces Var(X) = Vx, Var(P) = Vp and purity 1/(2 sqrt(Vx Vp)).
-    The result is renormalized to unit grid trace.
+    The result is renormalized to unit grid trace.  On the grid v = (i - j) dx
+    and u = x_min + (i + j) dx / 2, so rho[i, j] = t[i - j] h[i + j] is a
+    Toeplitz factor t(v) times a Hankel factor h(u): 2 (2n - 1)
+    exponentials, each factor at most its peak, so no product overflows.
     """
     var_x, var_p = spec.variances()
     sigma_x = np.sqrt(var_x)
@@ -172,13 +176,13 @@ def make_gaussian(grid: QuadratureGrid, spec: GaussianSpec) -> DensityMatrixGrid
         warnings.warn(
             f"grid clips ~{clipped:.1e} of the position distribution; "
             "truncation error may dominate", NarrowGridWarning, stacklevel=2)
-    xs = grid.xs
-    u = 0.5 * (xs[:, None] + xs[None, :])
-    v = xs[:, None] - xs[None, :]
-    rho = np.exp(-((u - spec.mean_x) ** 2) / (2.0 * var_x)
-                 - 0.5 * var_p * v**2
-                 + 1j * spec.mean_p * v) / np.sqrt(2.0 * np.pi * var_x)
-    rho /= np.real(np.trace(rho)) * grid.dx
+    n = grid.n_points
+    v = np.arange(1 - n, n) * grid.dx
+    u = np.linspace(grid.x_min, grid.x_max, 2 * n - 1)
+    t = np.exp(-0.5 * var_p * v**2 + 1j * spec.mean_p * v)
+    h = np.exp(-((u - spec.mean_x) ** 2) / (2.0 * var_x))
+    h /= np.sum(h[::2]) * grid.dx  # unit trace: t is 1 on the diagonal
+    rho = sliding_window_view(t[::-1], n)[::-1] * sliding_window_view(h, n)
     return DensityMatrixGrid(grid, rho)
 
 
@@ -233,7 +237,12 @@ def fock_to_grid(state: DensityMatrixFock, grid: QuadratureGrid) -> DensityMatri
 # ---------------------------------------------------------------------------
 
 def momentum_diagonal(state: DensityMatrixGrid):
-    """Momentum-space probability density via FFT of the density matrix.
+    """Momentum-space probability density from the diagonal sums of rho.
+
+    <p|rho|p> needs rho only through s_d = sum_{i-j=d} rho_ij, and s_{-d} =
+    conj(s_d) for Hermitian rho, so the density is one Hermitian FFT
+    (np.fft.hfft) of s_d, d >= 0, of length 2n.  A skewed, zero-padded copy
+    of rho[:, ::-1] (row i shifted right by i) holds each sum in one column.
 
     Returns (p_axis, density) on the FFT momentum grid (2x zero-padded);
     sum(density) * dp = trace exactly, by DFT orthogonality.
@@ -241,10 +250,11 @@ def momentum_diagonal(state: DensityMatrixGrid):
     n = state.grid.n_points
     dx = state.grid.dx
     m = 2 * n
-    a = np.fft.fft(state.rho, n=m, axis=0)
-    b = np.fft.ifft(a, n=m, axis=1) * m
-    dens = np.real(np.diagonal(b)) * dx**2 / (2.0 * np.pi)
-    dens = np.fft.fftshift(dens)
+    skew = np.zeros((n, m - 1), dtype=np.complex128)
+    step = skew.strides[0] + skew.strides[1]
+    as_strided(skew, (n, n), (step, skew.strides[1]))[...] = state.rho[:, ::-1]
+    sums = skew[:, n - 1:].sum(axis=0)
+    dens = np.fft.fftshift(np.fft.hfft(sums, n=m)) * dx**2 / (2.0 * np.pi)
     p_axis = 2.0 * np.pi * (np.arange(m) - m // 2) / (m * dx)
     return p_axis, dens
 

@@ -1,5 +1,6 @@
-"""Each layer module's __all__ names only attributes the module defines, and
-every option of a public function is set by some caller of the program.
+"""Each layer module's __all__ names only attributes the module defines,
+every public name is used by the program, and every option of a public
+function is set by some caller of the program.
 
 bench/tracer.py finds the functions it times through __all__, and
 `from optomech.<layer> import *` fails on a stale entry.
@@ -25,6 +26,19 @@ UNSET_ALLOWED = {
         "long grids; its default grid is the one every caller uses",
 }
 
+# public names that nothing in CALLER_DIRS uses, with the reason each stays
+UNUSED_ALLOWED = {
+    "states.state_from_npz":
+        "the reading half of the state.npz format that the CLI writes",
+    "states.validate_state":
+        "the density-matrix invariant check the property tests run after "
+        "every map; its O(n^3) eigvalsh keeps it off every program path",
+    "pulse.optimal_spectrum_amplitude":
+        "the oracle of the matched time-domain envelope",
+    "pulse.lorentzian_spectrum_amplitude":
+        "the oracle of the Lorentzian time-domain envelope",
+}
+
 
 @pytest.mark.parametrize("layer", LAYERS)
 def test_all_names_resolve(layer):
@@ -47,6 +61,38 @@ def _calls_by_name():
                 if name:
                     calls.setdefault(name, []).append(node)
     return calls
+
+
+def _names_used():
+    """Every name or attribute read in the program's own code, except inside
+    the function or class of the same name (recursion is not a use)."""
+    used = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            defining = defining | {node.name}
+        name = getattr(node, "id", None) if isinstance(node, ast.Name) \
+            else getattr(node, "attr", None)
+        if name and name not in defining:
+            used.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    for folder in CALLER_DIRS:
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return used
+
+
+def test_every_public_name_is_used():
+    # a public name that only tests reach is API kept alive by its own tests
+    used = _names_used()
+    unused = [f"{layer}.{name}" for layer in LAYERS
+              for name in importlib.import_module(f"optomech.{layer}").__all__
+              if name not in used]
+    assert sorted(set(unused) - set(UNUSED_ALLOWED)) == []
+    assert sorted(set(UNUSED_ALLOWED) - set(unused)) == []
 
 
 def _sets(call, index, param):

@@ -236,6 +236,9 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
      "n_outcomes"),
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 4},
      "n_outcomes"),
+    # twelve outcomes over-count the mass (2.43) instead of losing it
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 12},
+     "n_outcomes"),
     ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": -1.0}, "kappa"),
     ("protocol", {**PROTOCOL, "tomography": {"samples_per_angle": -5}},
      "samples_per_angle"),
@@ -246,7 +249,7 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
      "config.tomography.n_angles"),
     ("protocol", {**PROTOCOL, "seed": -1}, "seed"),
 ], ids=["measure_one_outcome", "measure_coarse_outcomes",
-        "pulse_negative_kappa",
+        "measure_over_counting_outcomes", "pulse_negative_kappa",
         "tomography_negative_samples", "tomography_negative_chi_p",
         "tomography_zero_angles", "tomography_negative_angles",
         "protocol_negative_seed"])

@@ -10,6 +10,7 @@ from hypothesis import strategies as hs  # noqa: E402
 from optomech import measurement as M  # noqa: E402
 from optomech import protocol as PR  # noqa: E402
 from optomech import states  # noqa: E402
+from optomech import wigner as W  # noqa: E402
 
 GRID = states.QuadratureGrid(-8.0, 8.0, 64)
 
@@ -55,6 +56,30 @@ def test_maps_keep_density_matrix_invariants(spec, chi, omega, offset,
                 PR.momentum_kick(state, omega),
                 PR.rotate_half_period(state)):
         states.validate_state(out)
+
+
+@settings(max_examples=30)
+@given(spec=specs, chi=hs.floats(0.2, 2.0), omega=hs.floats(-2.0, 2.0))
+def test_maps_leave_input_unchanged(spec, chi, omega):
+    # callers reuse a state after mapping it, so no map may write into rho
+    state = states.make_gaussian(GRID, spec)
+    before = state.rho.copy()
+    window = M.OutcomeWindow(M.outcome_pdf(state, chi).mean(), 1.0)
+    maps = {
+        "condition_window": lambda: M.condition_window(state, chi, omega,
+                                                       window),
+        "condition_exact": lambda: M.condition_exact(
+            state, M.LinearPulseMeasurement(chi, omega, window.center)),
+        "uncondition": lambda: M.uncondition(state, chi, omega),
+        "momentum_kick": lambda: PR.momentum_kick(state, omega),
+        "rotate_half_period": lambda: PR.rotate_half_period(state),
+        "wigner_transform": lambda: W.wigner_transform(state),
+        "moments": lambda: states.moments(state),
+        "purity": lambda: states.purity(state),
+    }
+    for name, run in maps.items():
+        run()
+        assert np.array_equal(state.rho, before), name
 
 
 def _fock_invariants(fock):

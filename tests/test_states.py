@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from optomech import measurement as M
+from optomech import protocol as PR
 from optomech import states
 from optomech.errors import (DomainError, GridError, NarrowGridWarning,
                              TruncationError)
@@ -223,6 +225,51 @@ def test_momentum_diagonal_normalization(thermal2):
     p_axis, dens = states.momentum_diagonal(thermal2)
     dp = p_axis[1] - p_axis[0]
     assert np.sum(dens) * dp == pytest.approx(1.0, abs=1e-12)
+
+
+def _padded_fft_momentum_density(state):
+    """The 2-D zero-padded FFT route to <p|rho|p>, kept as a reference."""
+    n = state.grid.n_points
+    dx = state.grid.dx
+    m = 2 * n
+    a = np.fft.fft(state.rho, n=m, axis=0)
+    b = np.fft.ifft(a, n=m, axis=1) * m
+    dens = np.real(np.diagonal(b)) * dx**2 / (2.0 * np.pi)
+    p_axis = 2.0 * np.pi * (np.arange(m) - m // 2) / (m * dx)
+    return p_axis, np.fft.fftshift(dens)
+
+
+def test_momentum_diagonal_matches_padded_fft_reference():
+    # a kicked, window-conditioned state has no symmetry in p to hide a sign
+    # or offset error in the diagonal sums
+    grid = states.QuadratureGrid(-8.0, 8.0, 128)
+    conditioned = M.condition_window(gaussian(grid, "thermal", nbar=0.6),
+                                     1.0, 0.3, M.OutcomeWindow(1.5, 0.8))[0]
+    kicked = PR.momentum_kick(conditioned, 0.8)
+    p_axis, dens = states.momentum_diagonal(kicked)
+    ref_axis, ref = _padded_fft_momentum_density(kicked)
+    assert np.array_equal(p_axis, ref_axis)
+    assert np.max(np.abs(dens - ref)) <= 1e-14
+
+
+@pytest.mark.parametrize("mean_x, mean_p", [(0.0, 0.0), (1.5, -0.7)])
+def test_wide_thermal_kernel_is_finite_and_matches_direct_formula(mean_x,
+                                                                 mean_p):
+    # at nbar 10 on [-24, 24] a factorization through exp(c x x') overflows;
+    # the Toeplitz x Hankel factors must not
+    grid = states.QuadratureGrid(-24.0, 24.0, 256)
+    spec = states.GaussianSpec("thermal", nbar=10.0, mean_x=mean_x,
+                               mean_p=mean_p)
+    rho = states.make_gaussian(grid, spec).rho
+    var_x, var_p = spec.variances()
+    xs = grid.xs
+    u = 0.5 * (xs[:, None] + xs[None, :])
+    v = xs[:, None] - xs[None, :]
+    direct = np.exp(-((u - mean_x) ** 2) / (2.0 * var_x) - 0.5 * var_p * v**2
+                    + 1j * mean_p * v)
+    direct /= np.real(np.trace(direct)) * grid.dx
+    assert np.all(np.isfinite(rho))
+    assert np.max(np.abs(rho - direct)) <= 1e-12
 
 
 def test_npz_round_trip(tmp_path, squeezed):

@@ -91,6 +91,43 @@ def test_explicit_momentum_axis_matches_fft_path(ground):
     assert np.max(np.abs(explicit.w - fft_grid.w[:, ::8])) < 1e-12
 
 
+def test_displaced_ground_wigner_closed_form(grid):
+    # odd in p: a transform returning W(x, -p) fails here
+    state = states.make_gaussian(
+        grid, states.GaussianSpec("ground", mean_x=0.7, mean_p=1.2))
+    wg = W.wigner_transform(state)
+    x, p = np.meshgrid(wg.x_axis, wg.p_axis, indexing="ij")
+    expected = np.exp(-(x - 0.7) ** 2 - (p - 1.2) ** 2) / np.pi
+    assert np.max(np.abs(wg.w - expected)) < 1e-8
+
+
+def test_explicit_momentum_axis_matches_fft_path_on_kicked_state(panel_b):
+    kicked = PR.momentum_kick(panel_b, 0.8)
+    fft_grid = W.wigner_transform(kicked)
+    explicit = W.wigner_transform(kicked, p_axis=fft_grid.p_axis[::8])
+    assert np.max(np.abs(explicit.w - fft_grid.w[:, ::8])) < 1e-12
+
+
+def test_non_hermitian_rho_rejected(grid, ground):
+    rng = np.random.default_rng(5)
+    noise = rng.normal(size=ground.rho.shape) \
+        + 1j * rng.normal(size=ground.rho.shape)
+    anti = noise - noise.conj().T
+    anti *= 1e-6 * np.max(np.abs(ground.rho)) / np.max(np.abs(anti))
+    bad = states.DensityMatrixGrid(grid, ground.rho + anti)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        W.wigner_transform(bad)
+    with pytest.raises(DomainError, match="not Hermitian"):
+        W.wigner_transform(bad, p_axis=np.linspace(-3.0, 3.0, 16))
+
+
+def test_fock_round_trip_rho_accepted(grid, panel_b):
+    # phi^T rho_F phi is Hermitian only to rounding
+    back = states.fock_to_grid(states.grid_to_fock(panel_b, 72), grid)
+    wg = W.wigner_transform(back)
+    assert abs(wg.integral() - 1.0) < 1e-5
+
+
 def test_gaussian_states_are_nonnegative(ground, thermal2, squeezed):
     for state in (ground, thermal2, squeezed):
         w_min, volume = W.negativity(W.wigner_transform(state))
