@@ -36,8 +36,8 @@ for name, (state, center) in inputs.items():
         w = wigner.wigner_transform(st)
         w_min, volume = wigner.negativity(w)
         try:
-            rep = wigner.measure_separation(st)
-            sep = f"{rep.delta:.3f}" if not rep.degenerate else "-"
+            delta = wigner.measure_separation(st)
+            sep = "-" if delta is None else f"{delta:.3f}"
         except Exception:
             sep = "?"
         prob_str = f"{100 * p:.1f} %" if p is not None else ""

@@ -242,7 +242,7 @@ def cmd_protocol(cfg: dict, out: Path) -> int:
         samples_per_angle=tomo["samples_per_angle"],
         tomography_chi_p=tomo["chi_p"], nbar_over_q=nbar_over_q)
     summary = pr.run_protocol(config, grid=cfg["grid"])
-    pr.records_to_jsonl(summary.records, out / "runs.jsonl")
+    pr.records_to_jsonl(summary, out / "runs.jsonl")
     _write(out, "summary.json", pr.summary_to_json(summary) + "\n")
     if summary.mean_state is not None:
         w = wg.wigner_transform(summary.mean_state)
@@ -257,25 +257,27 @@ def cmd_protocol(cfg: dict, out: Path) -> int:
 
 def cmd_verify(cfg: dict, out: Path) -> int:
     cfg = _walk(cfg, {"checks": (list, None), "overrides": (dict, {})})
+    if cfg["checks"] == []:
+        raise ConfigError("config.checks is empty; name at least one check")
     for i, name in enumerate(cfg["checks"] or ()):
-        _read(name, str, f"config.checks[{i}]")
+        if _read(name, str, f"config.checks[{i}]") not in vf.CHECKS:
+            raise ConfigError(f"config.checks[{i}] = {name!r} is not a known "
+                              f"check; expected one of {', '.join(vf.CHECKS)}")
     overrides = {key: _read(val, float, f"config.overrides.{key}")
                  for key, val in cfg["overrides"].items()}
-    results, skipped = vf.run_checks(cfg["checks"], overrides)
+    results = vf.run_checks(cfg["checks"], overrides)
     ran = {r.name for r in results}
     for key in overrides:
         if key not in ran:
             raise ConfigError(f"config.overrides.{key} names no check row "
                               "that ran")
-    report = vf.report_to_dict(results, skipped)
+    report = vf.report_to_dict(results)
     _write(out, "verify.json", json.dumps(report, indent=2) + "\n")
     width = max((len(r.name) for r in results), default=10)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name:<{width}}  target {r.target:< 13.6g} "
               f"tol {r.tolerance:<9.3g} measured {r.measured:< .6g}")
-    for name in skipped:
-        print(f"[SKIP] unknown check {name!r}", file=sys.stderr)
     print(f"{report['n_checks'] - report['n_failed']}/{report['n_checks']} "
           f"checks passed")
     return 0 if report["passed"] else 1

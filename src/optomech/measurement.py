@@ -140,7 +140,8 @@ def outcome_kernel(q_axis: np.ndarray, xs: np.ndarray, chi: float) -> np.ndarray
 
 
 class OutcomeDistribution:
-    """Sampled outcome density P(q) with deterministic inverse-CDF sampling."""
+    """Sampled outcome density P(q); quantile maps uniform variates to
+    outcomes through the inverse CDF."""
 
     def __init__(self, q_axis: np.ndarray, pdf: np.ndarray):
         self.q_axis = q_axis
@@ -169,10 +170,6 @@ class OutcomeDistribution:
     def quantile(self, u) -> np.ndarray:
         """Inverse CDF at uniform variate(s) u."""
         return np.interp(u, self._cdf, self.q_axis)
-
-    def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        """Inverse-CDF draw; identical sequences for identical generators."""
-        return self.quantile(rng.uniform(size=size))
 
 
 def outcome_pdf(state: DensityMatrixGrid, chi: float,
@@ -269,11 +266,12 @@ def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
     return _normalized(state, raw, f"window {window}")
 
 
-def _simpson_gram(xs: np.ndarray, chi: float, lo: float, hi: float,
-                  n_q: int) -> np.ndarray:
-    """sum_k w_k |U(x; q_k)| |U(x'; q_k)| over n_q (odd) Simpson nodes on
-    [lo, hi], chunk nodes per product, accumulated in a real kernel."""
+def _simpson_map(state: DensityMatrixGrid, chi: float, omega_kick: float,
+                 lo: float, hi: float, n_q: int) -> np.ndarray:
+    """rho o (K o kick phase) for the oracles: K = sum_k w_k |U(x; q_k)|
+    |U(x'; q_k)| over n_q (odd) Simpson nodes on [lo, hi], in chunks."""
     chunk = 512
+    xs = state.grid.xs
     q_nodes = np.linspace(lo, hi, n_q)
     w = np.ones(n_q)
     w[1:-1:2] = 4.0
@@ -283,7 +281,7 @@ def _simpson_gram(xs: np.ndarray, chi: float, lo: float, hi: float,
     for start in range(0, n_q, chunk):
         kern += _gram(_envelopes(xs, chi, q_nodes[start:start + chunk])
                       * np.sqrt(w[start:start + chunk])[:, None])
-    return kern
+    return state.rho * (kern * _kick_phase(np.exp(1j * omega_kick * xs)))
 
 
 def condition_window_quadrature(state: DensityMatrixGrid, chi: float,
@@ -295,10 +293,8 @@ def condition_window_quadrature(state: DensityMatrixGrid, chi: float,
     q integrals stay independent; only the q-independent kick phase
     e^{i w (x - x')} is shared, as a factor outside the sum.
     """
-    xs = state.grid.xs
-    kern = _simpson_gram(xs, chi, window.lo, window.hi, 201) \
-        * _kick_phase(np.exp(1j * omega_kick * xs))
-    return _normalized(state, state.rho * kern, f"window {window}")
+    raw = _simpson_map(state, chi, omega_kick, window.lo, window.hi, 201)
+    return _normalized(state, raw, f"window {window}")
 
 
 def uncondition(state: DensityMatrixGrid, chi: float,
@@ -320,10 +316,8 @@ def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
     The sum runs over the Kraus moduli, not over the closed form's
     exp(-d^2); only the q-independent kick phase is shared.
     """
-    xs = state.grid.xs
-    kern = _simpson_gram(xs, chi, -8.5, chi * state.grid.x_max**2 + 8.5,
-                         16001) * _kick_phase(np.exp(1j * omega_kick * xs))
-    return DensityMatrixGrid(state.grid, state.rho * kern)
+    return DensityMatrixGrid(state.grid, _simpson_map(
+        state, chi, omega_kick, -8.5, chi * state.grid.x_max**2 + 8.5, 16001))
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass
 
 from .constants import C, HBAR, KB
 from .errors import ContractError, DomainError
+from .wigner import separation_formula
 
 __all__ = [
     "SystemParams",
@@ -262,9 +263,7 @@ def derived_to_json(derived: DerivedParams) -> str:
 
 def format_table(params: SystemParams, derived: DerivedParams) -> str:
     """Aligned text table of inputs and derived values, one quantity per row."""
-    sep_chi = derived.chi_x
-    sep = (math.sqrt(max(4.0 * 1.5 * sep_chi - 2.0, 0.0)) / sep_chi
-           if sep_chi > 0 else float("nan"))
+    sep = separation_formula(0.5, derived.chi_x, 1.5)
     rows = [
         ("Optical wavelength:", "lambda", f"{params.wavelength / 1e-9:.4g}", "[nm]"),
         ("Mechanical effective mass:", "m", f"{params.mass / 1e-12:.4g}", "[ng]"),
@@ -279,7 +278,8 @@ def format_table(params: SystemParams, derived: DerivedParams) -> str:
          f"{derived.g_lin / (2 * math.pi) / 1e3:.3g}", "[kHz]"),
         ("Single photon strength:", "g_lin/kappa", f"{derived.g_over_kappa:.3g}", ""),
         ("Quadratic pos. meas. strength:", "chi_X", f"{derived.chi_x:.3g}", ""),
-        ("Separation (nbar=0, dQ_X=1.5):", "delta", f"{sep:.3g}", ""),
+        ("Separation (nbar=0, dQ_X=1.5):", "delta",
+         "-" if sep is None else f"{sep:.3g}", ""),
     ]
     width_label = max(len(r[0]) for r in rows if r)
     width_sym = max(len(r[1]) for r in rows if r)

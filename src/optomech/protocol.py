@@ -43,7 +43,6 @@ from .wigner import WignerGrid, negativity, wigner_transform
 
 __all__ = [
     "ProtocolConfig",
-    "RunRecord",
     "ProtocolSummary",
     "free_evolve",
     "momentum_kick",
@@ -73,7 +72,6 @@ class ProtocolConfig:
     tomography_angles: tuple = ()
     samples_per_angle: int = 0
     tomography_chi_p: float = 10.0
-    fock_dim: int = DEFAULT_FOCK_DIM
     nbar_over_q: float | None = None
 
     def __post_init__(self):
@@ -89,23 +87,14 @@ class ProtocolConfig:
             raise DomainError("chi must be finite and positive")
         if not math.isfinite(self.omega_kick):
             raise DomainError("omega_kick must be finite")
-        angles = tuple(self.tomography_angles)
-        if len(set(angles)) != len(angles):
-            raise DomainError("tomography angles must be distinct")
-        if any(not 0.0 <= a < math.pi for a in angles):
-            raise DomainError("tomography angles must lie in [0, pi)")
-
-
-@dataclass
-class RunRecord:
-    """Outcome(s) of one run; accepted iff every outcome fell in its window."""
-
-    outcomes: list
-    accepted: bool
+        _checked_angles(self.tomography_angles)
 
 
 @dataclass
 class ProtocolSummary:
+    """outcomes: (n_runs, 1) floats, (n_runs, 2) for two pulses; accepted:
+    (n_runs,) bools, True iff every outcome of the run hit its window."""
+
     n_runs: int
     n_accepted: int
     acceptance_rate: float
@@ -114,7 +103,8 @@ class ProtocolSummary:
     wigner_min: float | None
     wigner_negative_volume: float | None
     mean_state: DensityMatrixGrid | None
-    records: list = field(repr=False, default_factory=list)
+    outcomes: np.ndarray = field(repr=False)
+    accepted: np.ndarray = field(repr=False)
     nbar_over_q: float | None = None
     tomography_wigner: WignerGrid | None = field(repr=False, default=None)
     tomography_report: dict | None = None
@@ -131,9 +121,8 @@ def free_evolve(state: DensityMatrixFock, theta: float) -> DensityMatrixFock:
     rotation direction is (X, P) -> (X cos + P sin, -X sin + P cos): after a
     quarter period a momentum mean becomes a position mean.
     """
-    phases = np.exp(-1j * theta * np.arange(state.dim))
-    return DensityMatrixFock(state.dim,
-                             state.rho * np.outer(phases, phases.conj()))
+    return DensityMatrixFock(state.dim, state.rho * _kick_phase(
+        np.exp(-1j * theta * np.arange(state.dim))))
 
 
 def momentum_kick(state: DensityMatrixGrid, omega: float) -> DensityMatrixGrid:
@@ -205,7 +194,7 @@ def run_protocol(config: ProtocolConfig,
         if config.two_pulse else None
 
     master = np.random.SeedSequence(config.seed)
-    records = []
+    blocks = []  # (outcomes, accepted) per block
     mixture = np.zeros(state0.rho.shape)  # sum of e_k e_k^T, accepted k
     for start in range(0, config.n_runs, _BLOCK_RUNS):
         streams = master.spawn(min(_BLOCK_RUNS, config.n_runs - start))
@@ -221,12 +210,12 @@ def run_protocol(config: ProtocolConfig,
             q2 = [OutcomeDistribution(dist0.q_axis, pdf).quantile(v)
                   for pdf, v in zip(pdfs, u[:, 1])]
             q = np.column_stack([q[:, 0], q2])
-        accepted = np.all((window.lo <= q) & (q <= window.hi), axis=1)
-        records += map(RunRecord, q.tolist(), accepted.tolist())
-        q, probs, b = q[accepted], probs[accepted], rows[accepted]
+        ok = np.all((window.lo <= q) & (q <= window.hi), axis=1)
+        blocks.append((q, ok))
+        q, probs, b = q[ok], probs[ok], rows[ok]
         if config.two_pulse:
             rows2 = _envelopes(xs, chi, q[:, 1])
-            p2 = np.sum(rows2**2 * diag1[accepted], axis=1) * dx
+            p2 = np.sum(rows2**2 * diag1[ok], axis=1) * dx
             probs = np.column_stack([probs[:, 0], p2])
             b = rows2 * b[:, ::-1]
         bad = np.flatnonzero(probs <= MIN_EVENT_PROBABILITY)  # run by run
@@ -235,7 +224,8 @@ def run_protocol(config: ProtocolConfig,
                                     f"probability {probs.flat[bad[0]]:.3e}")
         mixture += _gram(b / np.sqrt(np.prod(probs, axis=1))[:, None])
 
-    n_acc = sum(r.accepted for r in records)
+    outcomes, accepted = map(np.concatenate, zip(*blocks))
+    n_acc = int(np.count_nonzero(accepted))
     rate = n_acc / config.n_runs
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / config.n_runs)
 
@@ -262,13 +252,13 @@ def run_protocol(config: ProtocolConfig,
             tomo_wigner, tomo_report = tomography(
                 mean_state, config.tomography_angles,
                 config.tomography_chi_p, config.samples_per_angle,
-                tomo_rng, fock_dim=config.fock_dim)
+                tomo_rng)
 
     return ProtocolSummary(
         n_runs=config.n_runs, n_accepted=n_acc, acceptance_rate=rate,
         acceptance_stderr=stderr, closed_form_probability=closed_form,
         wigner_min=w_min, wigner_negative_volume=w_vol,
-        mean_state=mean_state, records=records,
+        mean_state=mean_state, outcomes=outcomes, accepted=accepted,
         nbar_over_q=config.nbar_over_q,
         tomography_wigner=tomo_wigner, tomography_report=tomo_report)
 
@@ -276,6 +266,17 @@ def run_protocol(config: ProtocolConfig,
 # ---------------------------------------------------------------------------
 # tomography
 # ---------------------------------------------------------------------------
+
+def _checked_angles(angles) -> np.ndarray:
+    """The tomography angles as a sorted float array; DomainError unless
+    they are distinct and lie in [0, pi) (NaN sorts last and fails)."""
+    angles = np.sort(np.asarray(angles, dtype=float))
+    if angles.size and not (angles[0] >= 0.0 and angles[-1] < math.pi):
+        raise DomainError("tomography angles must lie in [0, pi)")
+    if np.unique(angles).size != angles.size:
+        raise DomainError("tomography angles must be distinct")
+    return angles
+
 
 def _ramp_filtered(projection: np.ndarray, ds: float) -> np.ndarray:
     """(1/2pi) integral |k| g^(k) e^{iks} dk on the sample grid, with a
@@ -312,11 +313,7 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
     """
     if chi_p <= 0:
         raise DomainError("chi_p must be positive")
-    angles = np.asarray(sorted(angles), dtype=float)
-    if angles.size and (angles.min() < 0 or angles.max() >= math.pi):
-        raise DomainError("angles must lie in [0, pi)")
-    if np.unique(angles).size != angles.size:
-        raise DomainError("angles must be distinct")
+    angles = _checked_angles(angles)
     few = angles.size < 8 or 0 < samples_per_angle < 10_000
     xs = state.grid.xs
     dx = state.grid.dx
@@ -383,12 +380,13 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
 # external interface
 # ---------------------------------------------------------------------------
 
-def records_to_jsonl(records, path) -> None:
-    """One JSON object per line: {"run", "outcomes", "accepted"}."""
+def records_to_jsonl(summary: ProtocolSummary, path) -> None:
+    """One JSON object per run: {"run", "outcomes", "accepted"}."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, rec in enumerate(records):
-            fh.write(json.dumps({"run": i, "outcomes": rec.outcomes,
-                                 "accepted": rec.accepted}) + "\n")
+        for i, (q, ok) in enumerate(zip(summary.outcomes.tolist(),
+                                        summary.accepted.tolist())):
+            fh.write(json.dumps({"run": i, "outcomes": q, "accepted": ok})
+                     + "\n")
 
 
 def summary_to_json(summary: ProtocolSummary) -> str:

@@ -73,9 +73,6 @@ class PulseEnvelope:
     def dt(self) -> float:
         return float(self.t_axis[1] - self.t_axis[0])
 
-    def norm_squared(self) -> float:
-        return float(np.trapezoid(self.samples**2, self.t_axis))
-
 
 @dataclass
 class ModeFunctions:

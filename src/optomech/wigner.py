@@ -29,7 +29,6 @@ from .states import DensityMatrixGrid
 
 __all__ = [
     "WignerGrid",
-    "SeparationReport",
     "wigner_transform",
     "negativity",
     "separation_formula",
@@ -72,20 +71,6 @@ class WignerGrid:
     def purity_overlap(self) -> float:
         """2 pi integral W^2 dx dp (equals Tr rho^2 for a faithful grid)."""
         return float(2.0 * np.pi * np.sum(self.w**2) * self.dx * self.dp)
-
-
-@dataclass
-class SeparationReport:
-    """Two-peak separation of a position distribution.
-
-    degenerate=True means a single peak (no superposition); then delta and
-    peak_positions are None.  delta is in quadrature units;
-    physical_separation converts it to meters.
-    """
-
-    degenerate: bool
-    delta: float | None = None
-    peak_positions: tuple | None = None
 
 
 def _antidiagonal_blocks(rho: np.ndarray):
@@ -162,7 +147,7 @@ def negativity(wg: WignerGrid):
 
 
 def separation_formula(sigma2: float, chi: float,
-                       outcome: float) -> SeparationReport:
+                       outcome: float) -> float | None:
     """Peak separation of a conditioned Gaussian state, in closed form.
 
     The conditioned position density is exp(-x^2 / 2 sigma^2) |U|^2 with
@@ -171,27 +156,24 @@ def separation_formula(sigma2: float, chi: float,
 
         delta = sqrt(4 q chi - sigma^-2) / chi
 
-    when the argument is positive, and a single central peak otherwise.
+    when the argument is positive, and None (a single central peak) otherwise.
     """
     if sigma2 <= 0 or chi <= 0:
         raise DomainError("sigma2 and chi must be positive")
     disc = 4.0 * outcome * chi - 1.0 / sigma2
     if disc <= 0:
-        return SeparationReport(degenerate=True)
-    delta = math.sqrt(disc) / chi
-    half = 0.5 * delta
-    return SeparationReport(degenerate=False, delta=delta,
-                            peak_positions=(-half, half))
+        return None
+    return math.sqrt(disc) / chi
 
 
-def measure_separation(state: DensityMatrixGrid) -> SeparationReport:
+def measure_separation(state: DensityMatrixGrid) -> float | None:
     """Locate the two dominant maxima of rho(x, x) and return their distance.
 
     Peaks are refined by a quadratic fit through the three grid points around
     each discrete maximum (the raw grid would quantize the separation); ties
     on a flat top break toward larger |x|.  Secondary maxima below 5% of the
-    global maximum are ignored.  A single surviving peak yields a degenerate
-    report; more than two comparable peaks raise AmbiguityError.
+    global maximum are ignored.  Returns the distance in quadrature units, or
+    None for one peak; more than two comparable peaks raise AmbiguityError.
     """
     diag = state.diagonal()
     xs = state.grid.xs
@@ -202,21 +184,19 @@ def measure_separation(state: DensityMatrixGrid) -> SeparationReport:
     is_peak = (left > 0) & (right >= 0)
     idx = np.where(is_peak)[0] + 1
     if idx.size == 0:
-        return SeparationReport(degenerate=True)
+        return None
     keep = idx[diag[idx] >= PEAK_THRESHOLD * diag[idx].max()]
     if keep.size > 2:
         raise AmbiguityError(f"{keep.size} comparable peaks at "
                              f"x = {np.round(xs[keep], 3).tolist()}")
     if keep.size == 1:
-        return SeparationReport(degenerate=True)
+        return None
     pos = []
     for i in keep:
         denom = diag[i - 1] - 2.0 * diag[i] + diag[i + 1]
         shift = 0.0 if denom == 0 else 0.5 * (diag[i - 1] - diag[i + 1]) / denom
         pos.append(float(xs[i] + shift * state.grid.dx))
-    delta = abs(pos[1] - pos[0])
-    return SeparationReport(degenerate=False, delta=delta,
-                            peak_positions=(min(pos), max(pos)))
+    return abs(pos[1] - pos[0])
 
 
 def physical_separation(delta: float, x0: float) -> float:

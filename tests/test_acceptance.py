@@ -26,7 +26,7 @@ from optomech import verification as vf
 
 
 def _run(name):
-    results, _ = vf.run_checks([name])
+    results = vf.run_checks([name])
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: measured {r.measured:.6g} "
@@ -103,5 +103,5 @@ def test_every_check_is_covered_above():
     ({}, False),
 ])
 def test_overrides_drive_failures(override, expect_fail):
-    results, _ = vf.run_checks(["table1"], overrides=override)
+    results = vf.run_checks(["table1"], overrides=override)
     assert any(not r.passed for r in results) == expect_fail

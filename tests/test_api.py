@@ -1,12 +1,14 @@
 """Each layer module's __all__ names only attributes the module defines,
-every public name is used by the program, and every option of a public
-function is set by some caller of the program.
+every public name and every member of a public class is used by the
+program, and every option of a public function or dataclass is set by some
+caller of the program.
 
 bench/tracer.py finds the functions it times through __all__, and
 `from optomech.<layer> import *` fails on a stale entry.
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from pathlib import Path
@@ -18,15 +20,16 @@ LAYERS = ("measurement", "params", "protocol", "pulse", "states",
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "demos", "bench")
 
-# defaulted parameters that no caller outside the tests sets, with the reason
-# each stays an option
+# defaulted parameters and dataclass fields that no caller outside the tests
+# sets, with the reason each stays an option
 UNSET_ALLOWED = {
     "pulse.optimal_square_spectrum.t_axis":
         "the time-grid tests drive the matched envelope on coarse, short and "
         "long grids; its default grid is the one every caller uses",
 }
 
-# public names that nothing in CALLER_DIRS uses, with the reason each stays
+# public names and members of public classes that nothing in CALLER_DIRS
+# reads, with the reason each stays
 UNUSED_ALLOWED = {
     "states.state_from_npz":
         "the reading half of the state.npz format that the CLI writes",
@@ -37,6 +40,13 @@ UNUSED_ALLOWED = {
         "the oracle of the matched time-domain envelope",
     "pulse.lorentzian_spectrum_amplitude":
         "the oracle of the Lorentzian time-domain envelope",
+    "params.DerivedParams.g_sq": "written to params.json through asdict",
+    "params.DerivedParams.omega_sq": "written to params.json through asdict",
+    "pulse.PulseEnvelope.rescale_factor": "ROADMAP item 5 reports it",
+    "verification.CheckResult.description":
+        "written to verify.json through asdict",
+    "verification.CheckResult.detail":
+        "written to verify.json through asdict",
 }
 
 
@@ -48,25 +58,32 @@ def test_all_names_resolve(layer):
     assert len(set(mod.__all__)) == len(mod.__all__)
 
 
+def _name(node):
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
 def _calls_by_name():
-    """Every call in the program's own code, keyed by the called name."""
+    """Every call in the program's own code, keyed by the called name; the
+    CLI's cli._parsed(where, X, ...) counts as a call X(...)."""
     calls = {}
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if not isinstance(node, ast.Call):
                     continue
-                func = node.func
-                name = getattr(func, "id", None) or getattr(func, "attr", None)
-                if name:
-                    calls.setdefault(name, []).append(node)
+                if _name(node.func) == "_parsed" and len(node.args) >= 2:
+                    node = ast.Call(func=node.args[1], args=node.args[2:],
+                                    keywords=node.keywords)
+                if _name(node.func):
+                    calls.setdefault(_name(node.func), []).append(node)
     return calls
 
 
 def _names_used():
-    """Every name or attribute read in the program's own code, except inside
-    the function or class of the same name (recursion is not a use)."""
-    used = set()
+    """(names, attributes) read in the program's own code, except inside the
+    function or class of the same name (recursion is not a use): every name
+    or attribute, and the attributes loaded (not stored, not keywords)."""
+    used, loaded = set(), set()
 
     def visit(node, defining):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -76,21 +93,47 @@ def _names_used():
             else getattr(node, "attr", None)
         if name and name not in defining:
             used.add(name)
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                loaded.add(name)
         for child in ast.iter_child_nodes(node):
             visit(child, defining)
 
     for folder in CALLER_DIRS:
         for path in sorted((ROOT / folder).rglob("*.py")):
             visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
-    return used
+    return used, loaded
+
+
+def _public_classes():
+    """(layer, name, class) for every class in a layer's __all__."""
+    for layer in LAYERS:
+        mod = importlib.import_module(f"optomech.{layer}")
+        for name in mod.__all__:
+            if inspect.isclass(getattr(mod, name)):
+                yield layer, name, getattr(mod, name)
+
+
+def _members(cls):
+    """Public methods, properties and dataclass fields of cls."""
+    names = {f.name for f in dataclasses.fields(cls)} \
+        if dataclasses.is_dataclass(cls) else set()
+    names |= {name for name, value in vars(cls).items()
+              if inspect.isfunction(value) or isinstance(value, property)}
+    return sorted(name for name in names if not name.startswith("_"))
 
 
 def test_every_public_name_is_used():
-    # a public name that only tests reach is API kept alive by its own tests
-    used = _names_used()
+    # a public name or member that only tests reach is API kept alive by its
+    # own tests; a member counts as used when some attribute of its name is
+    # read, so a constructor keyword alone does not keep a field
+    used, loaded = _names_used()
     unused = [f"{layer}.{name}" for layer in LAYERS
               for name in importlib.import_module(f"optomech.{layer}").__all__
               if name not in used]
+    unused += [f"{layer}.{name}.{member}"
+               for layer, name, cls in _public_classes()
+               for member in _members(cls) if member not in loaded]
     assert sorted(set(unused) - set(UNUSED_ALLOWED)) == []
     assert sorted(set(UNUSED_ALLOWED) - set(unused)) == []
 
@@ -105,24 +148,33 @@ def _sets(call, index, param):
     return param.kind is not param.KEYWORD_ONLY and len(call.args) > index
 
 
-def test_every_option_has_a_caller():
-    # a defaulted parameter of a public function that only tests set is a
-    # constant in disguise; public means in __all__ or, like the checks in
-    # verification.CHECKS, defined in the layer without a leading underscore
-    calls = _calls_by_name()
-    unset = []
+def _options():
+    """(layer, name, callable) for every public function and dataclass:
+    public means in __all__ or, like the checks in verification.CHECKS,
+    defined in the layer without a leading underscore."""
     for layer in LAYERS:
         mod = importlib.import_module(f"optomech.{layer}")
         for name, fn in vars(mod).items():
-            if (name.startswith("_") or not inspect.isfunction(fn)
-                    or fn.__module__ != mod.__name__):
+            if (not name.startswith("_") and inspect.isfunction(fn)
+                    and fn.__module__ == mod.__name__):
+                yield layer, name, fn
+    for layer, name, cls in _public_classes():
+        if dataclasses.is_dataclass(cls):
+            yield layer, name, cls
+
+
+def test_every_option_has_a_caller():
+    # a defaulted parameter of a public function, or a defaulted field of a
+    # public dataclass, that only tests set is a constant in disguise
+    calls = _calls_by_name()
+    unset = []
+    for layer, name, fn in _options():
+        params = inspect.signature(fn).parameters.values()
+        for index, param in enumerate(params):
+            if param.default is param.empty:
                 continue
-            params = inspect.signature(fn).parameters.values()
-            for index, param in enumerate(params):
-                if param.default is param.empty:
-                    continue
-                if not any(_sets(call, index, param)
-                           for call in calls.get(name, ())):
-                    unset.append(f"{layer}.{name}.{param.name}")
+            if not any(_sets(call, index, param)
+                       for call in calls.get(name, ())):
+                unset.append(f"{layer}.{name}.{param.name}")
     assert sorted(set(unset) - set(UNSET_ALLOWED)) == []
     assert sorted(set(UNSET_ALLOWED) - set(unset)) == []

@@ -338,13 +338,18 @@ def test_module_entry_point_runs_without_warning(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-def test_verify_unknown_check_skips_with_warning(tmp_path, capsys):
-    cfg = {"checks": ["rethermalization", "flux_capacitor"]}
-    code, out = run(tmp_path, "verify", cfg)
-    assert code == 0
-    assert "flux_capacitor" in capsys.readouterr().err
-    doc = json.loads((out / "verify.json").read_text())
-    assert doc["skipped"] == ["flux_capacitor"]
+@pytest.mark.parametrize("checks, message", [
+    (["tabel1"], "config.checks[0] = 'tabel1' is not a known check"),
+    (["rethermalization", "flux_capacitor"],
+     "config.checks[1] = 'flux_capacitor' is not a known check"),
+    ([], "config.checks is empty"),
+], ids=["misspelled", "second_unknown", "empty"])
+def test_verify_bad_checks_exit_2(tmp_path, capsys, checks, message):
+    # an unknown or empty list would otherwise pass vacuously
+    code, out = run(tmp_path, "verify", {"checks": checks})
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "verify.json").exists()
 
 
 def test_usage_error_exit_2():

@@ -206,6 +206,15 @@ def test_format_table_mirrors_layout():
     assert "delta" in lines[-1] and "2" in lines[-1]
 
 
+def test_format_table_single_peak_below_one_third():
+    # chi_x <= 1/3 leaves one central peak at outcome 1.5: no separation
+    system = pm.SystemParams(**{**TABLE1, "photon_number": 1e8})
+    derived = pm.derive(system)
+    assert derived.chi_x <= 1.0 / 3.0
+    last = pm.format_table(system, derived).splitlines()[-1]
+    assert last.split()[-2:] == ["delta", "-"]
+
+
 @pytest.mark.parametrize("field", ["wavelength", "mass", "temperature",
                                    "quality_factor", "reflectivity"])
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -132,7 +132,7 @@ def config(**kw):
 def test_single_run_is_deterministic():
     a = PR.run_protocol(config(n_runs=1))
     b = PR.run_protocol(config(n_runs=1))
-    assert a.records[0].outcomes == b.records[0].outcomes
+    assert np.array_equal(a.outcomes, b.outcomes)
     assert a.n_accepted == b.n_accepted
 
 
@@ -154,14 +154,14 @@ def reference_protocol(cfg, grid):
     flags, outcomes, total = [], [], np.zeros_like(state0.rho)
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_runs):
         rng = np.random.Generator(np.random.PCG64(stream))
-        qs = [float(dist0.sample(rng))]
+        qs = [float(dist0.quantile(rng.uniform()))]
         st = M.condition_exact(
             state0, M.LinearPulseMeasurement(cfg.chi, cfg.omega_kick, qs[0]))
         if cfg.two_pulse:
             st = PR.rotate_half_period(st)
             pdf = kernel @ st.diagonal() * grid.dx
-            qs.append(float(M.OutcomeDistribution(dist0.q_axis,
-                                                  pdf).sample(rng)))
+            dist = M.OutcomeDistribution(dist0.q_axis, pdf)
+            qs.append(float(dist.quantile(rng.uniform())))
             st = M.condition_exact(
                 st, M.LinearPulseMeasurement(cfg.chi, cfg.omega_kick, qs[1]))
         flags.append(all(lo <= q <= hi for q in qs))
@@ -180,10 +180,12 @@ def test_engine_matches_per_run_reference(two_pulse):
                  window=window(1.5, 1.2))
     summary = PR.run_protocol(cfg, grid=grid)
     flags, outcomes, mean = reference_protocol(cfg, grid)
-    assert [r.accepted for r in summary.records] == flags
-    got = np.array([r.outcomes for r in summary.records])
-    assert np.array_equal(got[:, 0], outcomes[:, 0])
-    assert np.max(np.abs(got - outcomes)) <= 1e-12
+    assert summary.accepted.dtype == bool
+    assert summary.accepted.tolist() == flags
+    assert summary.outcomes.shape == (600, 1 + two_pulse)
+    assert np.array_equal(summary.outcomes[:, 0], outcomes[:, 0])
+    assert np.max(np.abs(summary.outcomes - outcomes)) <= 1e-12
+    assert summary.n_accepted == sum(flags)
     assert np.max(np.abs(summary.mean_state.rho - mean)) <= 1e-12
 
 
@@ -236,6 +238,8 @@ def test_config_validation():
         config(tomography_angles=(0.0, 0.0))
     with pytest.raises(DomainError):
         config(tomography_angles=(0.0, 3.5))
+    with pytest.raises(DomainError):
+        config(tomography_angles=(math.nan,))
 
 
 @pytest.mark.parametrize("field, value", [("chi", math.nan),
@@ -256,18 +260,22 @@ def test_config_driven_tomography():
     assert summary.tomography_wigner is not None
     # per-run streams unchanged by the extra tomography stream
     plain = PR.run_protocol(config(n_runs=400, seed=5))
-    assert [r.outcomes for r in plain.records] \
-        == [r.outcomes for r in summary.records]
+    assert np.array_equal(plain.outcomes, summary.outcomes)
+    assert np.array_equal(plain.accepted, summary.accepted)
 
 
 def test_records_jsonl_export(tmp_path):
-    summary = PR.run_protocol(config(n_runs=50))
+    summary = PR.run_protocol(config(n_runs=50, two_pulse=True,
+                                     window=window(1.5, 1.2)))
     path = tmp_path / "runs.jsonl"
-    PR.records_to_jsonl(summary.records, path)
+    PR.records_to_jsonl(summary, path)
     lines = path.read_text().strip().splitlines()
     assert len(lines) == 50
-    first = json.loads(lines[0])
-    assert set(first) == {"run", "outcomes", "accepted"}
+    for i, line in enumerate(lines):
+        assert json.loads(line) == {
+            "run": i, "outcomes": summary.outcomes[i].tolist(),
+            "accepted": bool(summary.accepted[i])}
+    assert 0 < summary.n_accepted < 50
     doc = json.loads(PR.summary_to_json(summary))
     assert doc["n_runs"] == 50
 
@@ -308,5 +316,9 @@ def test_tomography_warns_on_few_angles(ground):
 def test_tomography_validates_angles(ground):
     with pytest.raises(DomainError):
         PR.tomography(ground, [0.0, 3.5], 10.0, 0, None)
+    with pytest.raises(DomainError):
+        PR.tomography(ground, [0.0, 0.0], 10.0, 0, None)
+    with pytest.raises(DomainError):
+        PR.tomography(ground, [math.nan], 10.0, 0, None)
     with pytest.raises(DomainError):
         PR.tomography(ground, ANGLES16, -1.0, 0, None)
