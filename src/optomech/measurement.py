@@ -63,6 +63,9 @@ class LinearPulseMeasurement:
     outcome: float = 0.0
 
     def __post_init__(self):
+        for name in ("chi", "omega_kick", "outcome"):
+            if not np.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {self!r}")
         if self.chi <= 0:
             raise DomainError(f"chi must be positive, got {self.chi!r}")
 
@@ -233,9 +236,10 @@ def _even_map(state: DensityMatrixGrid, chi: float, omega_kick: float,
 
 
 def _normalized(state: DensityMatrixGrid, raw: np.ndarray, event: str):
-    """(raw / P, P) with P = Tr raw; negligible P raises ConditioningError."""
+    """(raw / P, P) with P = Tr raw; negligible or NaN P raises
+    ConditioningError."""
     prob = float(np.real(np.trace(raw)) * state.grid.dx)
-    if prob <= MIN_EVENT_PROBABILITY:
+    if not prob > MIN_EVENT_PROBABILITY:
         raise ConditioningError(
             f"{event} has negligible probability {prob:.3e}")
     raw /= prob

@@ -5,7 +5,7 @@ and prints one PASS/FAIL line per sub-check (visible with `pytest -s`, and
 in the failure report otherwise).  The same checks back `optomech verify`.
 
 Criteria and tolerances:
- 1. parameter-table chain (x0 3%, g/2pi 2%, g/kappa 3%, chi 5%, delta 1e-6)
+ 1. parameter-table chain (x0 3%, g/2pi 2%, g/kappa 3%, chi 5%, delta 1.3%)
  2. windowed probabilities 14.9/14.5/1.1 % within 0.3 pp
  3. Monte-Carlo acceptance within 3 binomial SE of the closed form
  4. cascade chi and kick within 0.5%; Lorentzian strictly smaller
@@ -105,3 +105,12 @@ def test_every_check_is_covered_above():
 def test_overrides_drive_failures(override, expect_fail):
     results = vf.run_checks(["table1"], overrides=override)
     assert any(not r.passed for r in results) == expect_fail
+
+
+def test_table1_delta_follows_the_derived_chain():
+    # delta = sqrt(6 chi - 2) / chi at sigma^2 = 1/2, outcome 1.5, with chi
+    # the chain's chi_x, not the unit strength of the paper's figure
+    rows = {r.name: r for r in vf.run_checks(["table1"])}
+    chi = rows["table1.chi_x"].measured
+    assert rows["table1.delta"].measured == pytest.approx(
+        (6 * chi - 2) ** 0.5 / chi, rel=1e-12)

@@ -4,21 +4,32 @@ program, and every option of a public function or dataclass is set by some
 caller of the program.
 
 bench/tracer.py finds the functions it times through __all__, and
-`from optomech.<layer> import *` fails on a stale entry.
+`from optomech.<layer> import *` fails on a stale entry.  The tracer drops a
+BENCHMARK.json row it cannot find, so every per-function and per-check row
+there must name a function in its layer's __all__ or a verification check.
 """
 
 import ast
 import dataclasses
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+from optomech.verification import CHECKS
 
 LAYERS = ("measurement", "params", "protocol", "pulse", "states",
           "verification", "wigner")
 ROOT = Path(__file__).resolve().parents[1]
 CALLER_DIRS = ("src", "demos", "bench")
+# per-function statistics the tracer reports as <layer>.<function>.<stat>
+TRACED_STATS = ("calls", "self_s", "p50_ms", "p90_ms", "elements_touched",
+                "bytes_computed")
 
 # defaulted parameters and dataclass fields that no caller outside the tests
 # sets, with the reason each stays an option
@@ -178,3 +189,35 @@ def test_every_option_has_a_caller():
                 unset.append(f"{layer}.{name}.{param.name}")
     assert sorted(set(unset) - set(UNSET_ALLOWED)) == []
     assert sorted(set(UNSET_ALLOWED) - set(unset)) == []
+
+
+def test_benchmark_rows_name_traced_functions():
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    unknown = []
+    for row in spec["per_layer"]:
+        parts = row["name"].split(".")
+        if len(parts) != 3:
+            continue
+        layer, name, stat = parts
+        if layer == "verification" and stat == "busy_s":
+            known = name in CHECKS
+        else:
+            known = stat in TRACED_STATS and name in importlib.import_module(
+                f"optomech.{layer}").__all__
+        if not known:
+            unknown.append(row["name"])
+    assert unknown == []
+
+
+def test_import_leaves_out_heavy_scipy_subpackages():
+    # scipy.signal (which pulls in scipy.stats) and scipy.interpolate once
+    # took over half of `import optomech`; nothing in the package needs them
+    heavy = ("scipy.signal", "scipy.interpolate", "scipy.stats")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, optomech; "
+            f"print([m for m in {heavy!r} if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

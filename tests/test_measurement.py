@@ -294,3 +294,27 @@ def test_invalid_measurement_parameters(ground):
 def test_window_rejects_non_finite(center, width):
     with pytest.raises(DomainError, match="finite"):
         M.OutcomeWindow(center, width)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"chi": math.nan}, "chi"), ({"chi": math.inf}, "chi"),
+    ({"chi": 1.0, "omega_kick": math.inf}, "omega_kick"),
+    ({"chi": 1.0, "omega_kick": math.nan}, "omega_kick"),
+    ({"chi": 1.0, "outcome": math.nan}, "outcome"),
+    ({"chi": 1.0, "outcome": -math.inf}, "outcome")])
+def test_measurement_rejects_non_finite(kwargs, field):
+    with pytest.raises(DomainError, match=f"{field} must be finite"):
+        M.LinearPulseMeasurement(**kwargs)
+
+
+@pytest.mark.parametrize("condition", [
+    lambda s: M.condition_exact(s, M.LinearPulseMeasurement(1.0, 0.0, 1.5)),
+    lambda s: M.condition_window(s, 1.0, 0.0, M.OutcomeWindow(1.5, 0.8)),
+    lambda s: M.condition_window_quadrature(s, 1.0, 0.0,
+                                            M.OutcomeWindow(1.5, 0.8))],
+    ids=["exact", "window", "window_quadrature"])
+def test_nan_probability_raises(condition, ground):
+    nan_state = states.DensityMatrixGrid(ground.grid,
+                                         np.full_like(ground.rho, np.nan))
+    with pytest.raises(ConditioningError, match="probability nan"):
+        condition(nan_state)

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from optomech import params as pm
 from optomech import pulse as P
@@ -188,6 +189,28 @@ def test_impulse_response():
     assert kick == pytest.approx(math.sqrt(2) * N_P * G_LIN, rel=1e-2)
 
 
+@pytest.mark.parametrize("sigma", [1.0, 0.3])
+def test_cascade_pointwise_against_convolution_oracle(sigma):
+    # stage k of the cascade is the drive convolved with the k-fold cavity
+    # kernel tau^k exp(-kappa tau) / k!, times the product of stage gains
+    t_axis = P.default_time_grid(KAPPA)
+    env = P.PulseEnvelope(t_axis, np.exp(-0.5 * (t_axis / sigma) ** 2))
+    modes = P.cascade_integrate(env, KAPPA)
+    gains = np.cumprod([math.sqrt(2 * KAPPA), math.sqrt(2) * KAPPA,
+                        math.sqrt(2) * KAPPA])
+    nodes = np.searchsorted(t_axis, [-2.0, -0.5, 0.0, 0.7, 1.5, 3.0, 6.0])
+    for k, alpha in enumerate((modes.alpha0, modes.alpha1, modes.alpha2)):
+        peak = np.max(np.abs(alpha))
+        for i in nodes:
+            t = t_axis[i]
+            val, _ = quad(lambda tau: tau**k * math.exp(
+                -KAPPA * tau - 0.5 * ((t - tau) / sigma) ** 2),
+                0.0, max(t, 0.0) + 12 * sigma, points=[max(t, 0.0)],
+                epsabs=1e-14, epsrel=1e-13, limit=200)
+            oracle = gains[k] * val / math.factorial(k)
+            assert abs(alpha[i] - oracle) < 1e-10 * peak
+
+
 def test_constant_drive_steady_state():
     # flat drive reaching steady state alpha0 = sqrt(2/k) alpha_in, ramped
     # off at the end so the decay invariant holds
@@ -235,6 +258,13 @@ def test_nondecaying_drive_rejected():
     t_axis = np.linspace(-12.0, 25.0, 8193)
     env = P.PulseEnvelope(t_axis, np.ones(t_axis.size))
     with pytest.raises(TruncationError):
+        P.cascade_integrate(env, KAPPA)
+
+
+def test_mismatched_samples_rejected():
+    t_axis = np.linspace(-12.0, 25.0, 8193)
+    env = P.PulseEnvelope(t_axis, np.zeros(t_axis.size + 1))
+    with pytest.raises(DomainError, match="shape"):
         P.cascade_integrate(env, KAPPA)
 
 
