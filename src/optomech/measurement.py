@@ -11,13 +11,15 @@ with measurement strength chi, momentum kick w and offset outcome q
 only through its measurement strength (`params.dispersive_strengths`).
 
 Because U is a function of position only, it acts on a grid density matrix
-by elementwise row/column scaling.  Windowed conditioning integrates the
-Gaussian outcome factor over the window in closed form (an error-function
-difference); slow quadrature versions of the windowed and unconditional maps
-are kept alongside as independent oracles.  The closed-form kernels depend
-on x only through x^2, so one builder evaluates them on the x >= 0 quadrant
-and mirrors it into the other three; the kick phase e^{i w (x - x')} is odd
-in x and stays a separate factor.
+by elementwise row/column scaling.  The outcome density smooths the position
+diagonal by a Gaussian in q - chi x^2: it folds the diagonal onto x > 0 and
+evaluates only the band |q - chi x^2| <= 9.  Windowed conditioning
+integrates the Gaussian outcome factor over the window in closed form (an
+error-function difference); slow quadrature versions of the windowed and
+unconditional maps are kept alongside as independent oracles.  The
+closed-form kernels depend on x only through x^2, so one builder evaluates
+them on the x >= 0 quadrant and mirrors it into the other three; the kick
+phase e^{i w (x - x')} is odd in x and stays a separate factor.
 """
 
 from __future__ import annotations
@@ -133,13 +135,36 @@ def linear_kraus_diagonal(grid: QuadratureGrid,
 # outcome statistics
 # ---------------------------------------------------------------------------
 
-def outcome_kernel(q_axis: np.ndarray, xs: np.ndarray, chi: float) -> np.ndarray:
-    """Matrix K[k, i] = pi^(-1/2) exp(-(q_k - chi x_i^2)^2).
+# outcome_kernel: outcomes per matrix product, and the half-width of the
+# band of q - chi x^2 outside which the kernel is below e^-81 of its peak
+_KERNEL_BLOCK = 128
+_KERNEL_CUT = 9.0
 
-    P(q_k) = sum_i K[k, i] rho(x_i, x_i) dx; precompute it when many pdfs
-    are needed for the same grid (Monte-Carlo loops).
+
+def outcome_kernel(q_axis: np.ndarray, xs: np.ndarray, chi: float,
+                   weights: np.ndarray) -> np.ndarray:
+    """sum_i K(q_k - chi x_i^2) w_i, K(u) = pi^(-1/2) exp(-u^2), for weights
+    of shape (n,) or (k, n) on a symmetric grid xs of even length n;
+    returns shape (m,) or (k, m).
+
+    P(q_k) is this with w = rho(x_i, x_i) dx.  chi x^2 is even, so the
+    weights fold onto x > 0 (x_{n-1-i}^2 is read as x_i^2, as in _even_map)
+    and the kernel is a function of the ascending chi x^2.  Each block of
+    _KERNEL_BLOCK outcomes takes one contiguous slice of chi x^2 within
+    _KERNEL_CUT of it, beyond which K < e^-81 ~ 7e-36 of its peak, and does
+    one real matrix product; no (m, n) array is built.
     """
-    return np.exp(-(q_axis[:, None] - chi * xs[None, :] ** 2) ** 2) / np.sqrt(np.pi)
+    half = xs.size // 2
+    sq = chi * xs[half:] ** 2
+    folded = weights[..., half:] + weights[..., :half][..., ::-1]
+    out = np.empty(folded.shape[:-1] + q_axis.shape)
+    for start in range(0, q_axis.size, _KERNEL_BLOCK):
+        q = q_axis[start:start + _KERNEL_BLOCK]
+        lo = np.searchsorted(sq, q.min() - _KERNEL_CUT, side="left")
+        hi = np.searchsorted(sq, q.max() + _KERNEL_CUT, side="right")
+        band = np.exp(-(q[:, None] - sq[lo:hi]) ** 2)
+        out[..., start:start + _KERNEL_BLOCK] = folded[..., lo:hi] @ band.T
+    return out / np.sqrt(np.pi)
 
 
 class OutcomeDistribution:
@@ -180,7 +205,9 @@ def outcome_pdf(state: DensityMatrixGrid, chi: float,
     """Homodyne outcome density P(q) = integral dx rho(x,x) |U(x; q)|^2.
 
     The density is independent of the kick (the phase cancels in U^dag U).
-    The outcome range [-6, chi x_max^2 + 6] covers shot noise plus the full
+    It is outcome_kernel of the diagonal, folded onto x > 0 and banded to
+    |q - chi x^2| <= 9, so no n_outcomes x n matrix is built.  The outcome
+    range [-6, chi x_max^2 + 6] covers shot noise plus the full
     deterministic range of chi x^2 on the grid, so its tails are negligible;
     raises RangeError when n_outcomes is too coarse to resolve a mass within
     1e-4 of 1 (a coarse grid can lose mass or over-count it).
@@ -189,9 +216,9 @@ def outcome_pdf(state: DensityMatrixGrid, chi: float,
         raise DomainError("chi must be non-negative")
     if n_outcomes < 2:
         raise DomainError(f"n_outcomes must be >= 2, got {n_outcomes!r}")
-    xs = state.grid.xs
     q_axis = np.linspace(-6.0, chi * state.grid.x_max**2 + 6.0, n_outcomes)
-    pdf = outcome_kernel(q_axis, xs, chi) @ state.diagonal() * state.grid.dx
+    pdf = outcome_kernel(q_axis, state.grid.xs, chi,
+                         state.diagonal()) * state.grid.dx
     dist = OutcomeDistribution(q_axis, pdf)
     if not abs(dist.mass - 1.0) <= 1e-4:
         raise RangeError(f"n_outcomes = {n_outcomes} resolves a mass of "

@@ -178,10 +178,11 @@ def run_protocol(config: ProtocolConfig,
     Every b_k is phi e_k with one outcome-independent kick phase phi
     (e^{i w x}, or e^{i w x} e^{i w x}[::-1] for two pulses) and real
     moduli e_k, so the mean is rho_base o (phi phi^dag) o (E^T E) / n_acc.
-    Per block of runs, one product with the outcome kernel gives the second-
-    outcome pdfs and one real E^T E adds to the mean.  Accepted outcomes of
-    probability <= MIN_EVENT_PROBABILITY raise ConditioningError, as in
-    condition_exact; zero acceptances give an empty-ensemble summary.
+    Per block of runs, one outcome_kernel call on the first-pulse diagonals
+    gives the second-outcome pdfs (folded and banded, with no dense
+    outcome-by-grid matrix) and one real E^T E adds to the mean.  Accepted
+    outcomes of probability <= MIN_EVENT_PROBABILITY raise ConditioningError,
+    as in condition_exact; zero acceptances give an empty-ensemble summary.
     """
     if grid is None:
         grid = default_grid()
@@ -190,8 +191,6 @@ def run_protocol(config: ProtocolConfig,
     dist0 = outcome_pdf(state0, chi)
     diag0 = state0.diagonal()
     xs, dx = grid.xs, grid.dx
-    kernel = _flushed(outcome_kernel(dist0.q_axis, xs, chi)) \
-        if config.two_pulse else None
 
     master = np.random.SeedSequence(config.seed)
     blocks = []  # (outcomes, accepted) per block
@@ -206,7 +205,7 @@ def run_protocol(config: ProtocolConfig,
         probs = raw1.sum(axis=1, keepdims=True) * dx
         if config.two_pulse:
             diag1 = _flushed(raw1[:, ::-1] / probs)  # parity-flipped
-            pdfs = diag1 @ kernel.T * dx
+            pdfs = outcome_kernel(dist0.q_axis, xs, chi, diag1) * dx
             q2 = [OutcomeDistribution(dist0.q_axis, pdf).quantile(v)
                   for pdf, v in zip(pdfs, u[:, 1])]
             q = np.column_stack([q[:, 0], q2])

@@ -211,14 +211,19 @@ def cascade_integrate(pulse: PulseEnvelope, kappa: float) -> ModeFunctions:
     length so the causal response decays for a further grid span before it
     could wrap, by c / (kappa + i omega); one irfft per stage gives alpha_k.
     This is exact for the band-limited drive: Gaussian drives on the default
-    grid meet a quadrature convolution oracle to ~1e-12 of each peak.
+    grid meet a quadrature convolution oracle to ~1e-12 of each peak.  The
+    drive's t_axis must be uniform and increasing.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     if pulse.samples.shape != pulse.t_axis.shape:
         raise DomainError("pulse samples and t_axis differ in shape")
+    step = pulse.dt
+    if not np.all(np.abs(np.diff(pulse.t_axis) - step) <= 1e-6 * step):
+        raise DomainError("pulse t_axis must be uniform and increasing: the "
+                          "response is solved on its first step")
     n = pulse.t_axis.size
-    lowpass = 1.0 / (kappa + 2j * math.pi * np.fft.rfftfreq(2 * n, pulse.dt))
+    lowpass = 1.0 / (kappa + 2j * math.pi * np.fft.rfftfreq(2 * n, step))
     spectrum = np.fft.rfft(pulse.samples, 2 * n)
     alphas = []
     for gain in (math.sqrt(2.0 * kappa), math.sqrt(2.0) * kappa,

@@ -6,7 +6,8 @@ caller of the program.
 bench/tracer.py finds the functions it times through __all__, and
 `from optomech.<layer> import *` fails on a stale entry.  The tracer drops a
 BENCHMARK.json row it cannot find, so every per-function and per-check row
-there must name a function in its layer's __all__ or a verification check.
+there must name a function the tracer wraps (in its layer's __all__ and
+defined in that layer) or a verification check.
 """
 
 import ast
@@ -191,6 +192,16 @@ def test_every_option_has_a_caller():
     assert sorted(set(UNSET_ALLOWED) - set(unset)) == []
 
 
+def _traced(layer, name):
+    """Whether bench/tracer.find_targets keeps layer.name: listed in __all__
+    and a plain function defined in that layer, not a re-export, a partial
+    or a class."""
+    mod = importlib.import_module(f"optomech.{layer}")
+    fn = getattr(mod, name, None)
+    return (name in mod.__all__ and inspect.isfunction(fn)
+            and fn.__module__ == mod.__name__)
+
+
 def test_benchmark_rows_name_traced_functions():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     unknown = []
@@ -202,8 +213,7 @@ def test_benchmark_rows_name_traced_functions():
         if layer == "verification" and stat == "busy_s":
             known = name in CHECKS
         else:
-            known = stat in TRACED_STATS and name in importlib.import_module(
-                f"optomech.{layer}").__all__
+            known = stat in TRACED_STATS and _traced(layer, name)
         if not known:
             unknown.append(row["name"])
     assert unknown == []

@@ -54,11 +54,35 @@ def test_kraus_modulus_even_phase_odd(grid):
 
 
 def test_completeness_of_outcome_family(grid, ground):
-    # integral dq U^dag U must be the identity pointwise in x
+    # integral dq U^dag U must be the identity pointwise in x; identity
+    # weights give one kernel row per grid point
     dist = M.outcome_pdf(ground, 1.0, n_outcomes=4096)
-    kernel = M.outcome_kernel(dist.q_axis, grid.xs, 1.0)
-    totals = np.trapezoid(kernel, dist.q_axis, axis=0)
+    family = M.outcome_kernel(dist.q_axis, grid.xs, 1.0,
+                              np.eye(grid.n_points))
+    totals = np.trapezoid(family, dist.q_axis, axis=1)
     assert np.max(np.abs(totals - 1.0)) < 1e-8
+
+
+def dense_outcome_sum(q_axis, xs, chi, weights):
+    """sum_i pi^(-1/2) exp(-(q_k - chi x_i^2)^2) w_i through the full
+    (outcomes, grid) matrix, for weights of shape (n,) or (k, n)."""
+    kernel = np.exp(-(q_axis[:, None] - chi * xs**2) ** 2) / np.sqrt(np.pi)
+    return weights @ kernel.T
+
+
+@pytest.mark.parametrize("n", [128, 512, 2048])
+@pytest.mark.parametrize("chi", [0.0, 0.5, 2.0])
+def test_outcome_kernel_matches_dense_closed_form(n, chi):
+    # 1000 outcomes leave a ragged last block, and the axis runs 40 past
+    # chi x_max^2, so the last blocks have an empty band
+    xs = states.QuadratureGrid(-8.0, 8.0, n).xs
+    q_axis = np.linspace(-6.0, chi * 64.0 + 40.0, 1000)
+    rng = np.random.default_rng(n)
+    for weights in (rng.random(n), rng.random((5, n))):
+        want = dense_outcome_sum(q_axis, xs, chi, weights)
+        got = M.outcome_kernel(q_axis, xs, chi, weights)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
 
 def test_outcome_pdf_normalization_and_moments(ground):
@@ -111,6 +135,31 @@ def test_outcome_pdf_range_clipping(ground):
     # four outcomes over [-6, 70] cannot resolve the ground-state density
     with pytest.raises(RangeError, match="n_outcomes = 4"):
         M.outcome_pdf(ground, 1.0, n_outcomes=4)
+
+
+def test_outcome_pdf_range_error_matches_dense_closed_form(grid, ground):
+    # the mass check trips at exactly the n_outcomes the dense sum fails at
+    want, got = [], []
+    for n_outcomes in range(2, 300):
+        q_axis = np.linspace(-6.0, grid.x_max**2 + 6.0, n_outcomes)
+        pdf = dense_outcome_sum(q_axis, grid.xs, 1.0,
+                                ground.diagonal()) * grid.dx
+        if not abs(M.OutcomeDistribution(q_axis, pdf).mass - 1.0) <= 1e-4:
+            want.append(n_outcomes)
+        try:
+            M.outcome_pdf(ground, 1.0, n_outcomes=n_outcomes)
+        except RangeError:
+            got.append(n_outcomes)
+    assert 4 in want and 299 not in want
+    assert got == want
+
+
+def test_shot_noise_pdf_matches_dense_closed_form(grid, ground):
+    # chi = 0 puts every grid point in every outcome's band
+    dist = M.outcome_pdf(ground, 0.0)
+    want = dense_outcome_sum(dist.q_axis, grid.xs, 0.0,
+                             ground.diagonal()) * grid.dx
+    assert np.max(np.abs(dist.pdf - want)) <= 1e-14 * np.max(want)
 
 
 def test_condition_exact_weak_limit(grid, ground):

@@ -146,10 +146,12 @@ def test_summary_is_bit_reproducible():
 
 def reference_protocol(cfg, grid):
     """Per-run loop: condition on each outcome, flip, sample and condition
-    again; returns acceptance flags, outcomes and accepted-ensemble mean."""
+    again; returns acceptance flags, outcomes and accepted-ensemble mean.
+    Second-outcome pdfs come from the dense (outcomes, grid) kernel."""
     state0 = states.make_gaussian(grid, cfg.initial)
     dist0 = M.outcome_pdf(state0, cfg.chi)
-    kernel = M.outcome_kernel(dist0.q_axis, grid.xs, cfg.chi)
+    kernel = np.exp(-(dist0.q_axis[:, None] - cfg.chi * grid.xs**2) ** 2) \
+        / np.sqrt(np.pi)
     lo, hi = cfg.window.lo, cfg.window.hi
     flags, outcomes, total = [], [], np.zeros_like(state0.rho)
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_runs):

@@ -268,6 +268,20 @@ def test_mismatched_samples_rejected():
         P.cascade_integrate(env, KAPPA)
 
 
+def test_non_uniform_time_grid_rejected():
+    # the same ends, monotone but stretched: the response would be solved on
+    # the first step only and come out silently wrong
+    u = np.linspace(0.0, 1.0, 8193)
+    uniform = -12.0 + 37.0 * u
+    stretched = -12.0 + 37.0 * (u + 0.05 * np.sin(2.0 * np.pi * u))
+    assert np.all(np.diff(stretched) > 0)
+    env = P.PulseEnvelope(uniform, np.exp(-0.5 * uniform**2))
+    P.cascade_integrate(env, KAPPA)
+    env = P.PulseEnvelope(stretched, np.exp(-0.5 * stretched**2))
+    with pytest.raises(DomainError, match="uniform"):
+        P.cascade_integrate(env, KAPPA)
+
+
 def test_modes_csv(tmp_path, optimal_modes):
     env, modes = optimal_modes
     path = tmp_path / "modes.csv"
