@@ -22,8 +22,10 @@ print(f"accepted              : {summary.n_accepted}")
 print(f"acceptance rate       : {summary.acceptance_rate:.4f} "
       f"+/- {summary.acceptance_stderr:.4f}")
 print(f"closed-form P(window) : {summary.closed_form_probability:.4f}")
-print(f"mixture min W         : {summary.wigner_min:.4f}")
-print(f"mixture neg. volume   : {summary.wigner_negative_volume:.4f}")
+w_mix = wigner.wigner_transform(summary.mean_state)
+mix_min, mix_vol = wigner.negativity(w_mix)
+print(f"mixture min W         : {mix_min:.4f}")
+print(f"mixture neg. volume   : {mix_vol:.4f}")
 
 grid = states.default_grid()
 ground = states.make_gaussian(grid, states.GaussianSpec("ground"))

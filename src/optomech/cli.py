@@ -17,10 +17,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
+
+import numpy as np
 
 from . import measurement as ms
 from . import params as pm
@@ -173,6 +176,10 @@ def cmd_wigner(cfg: dict, out: Path) -> int:
              "unconditional": ("chi",)}
     if mode not in needs:
         raise ConfigError("config.mode must be initial|conditioned|unconditional")
+    label = cfg["label"]
+    if any(c and c in label for c in ("/", os.sep, os.altsep, "\0")):
+        raise ConfigError(f"config.label {label!r} must not contain a path "
+                          "separator or NUL")
     for name in needs[mode]:
         if cfg[name] is None:
             raise ConfigError(f"config.{name} is required in mode {mode}")
@@ -182,7 +189,6 @@ def cmd_wigner(cfg: dict, out: Path) -> int:
     elif mode == "unconditional":
         state = ms.uncondition(state, chi, omega)
     w = wg.wigner_transform(state)
-    label = cfg["label"]
     wg.wigner_to_csv(w, out / f"wigner_{label}.csv")
     _write(out, f"wigner_{label}.json", wg.wigner_sidecar_json(w, label) + "\n")
     return 0
@@ -229,29 +235,45 @@ def cmd_protocol(cfg: dict, out: Path) -> int:
         nbar_over_q = _parsed("config.system", pm.derive,
                               cfg["system"]).nbar_over_q
     tomo = cfg["tomography"]
-    if tomo is not None and tomo["n_angles"] < 1:
-        raise ConfigError("config.tomography.n_angles must be >= 1")
-    tomo = tomo or {"n_angles": 0, "samples_per_angle": 0, "chi_p": 10.0}
+    if tomo is not None:
+        for name, low in (("n_angles", 1), ("samples_per_angle", 0)):
+            if tomo[name] < low:
+                raise ConfigError(f"config.tomography.{name} must be >= {low}")
+        if tomo["chi_p"] <= 0:
+            raise ConfigError("config.tomography.chi_p must be positive")
     config = _parsed(
         "config", pr.ProtocolConfig,
         initial=cfg["initial"], chi=cfg["chi"], window=cfg["window"],
         n_runs=cfg["n_runs"], seed=cfg["seed"],
-        omega_kick=cfg["omega_kick"], two_pulse=cfg["two_pulse"],
-        tomography_angles=tuple(k * math.pi / tomo["n_angles"]
-                                for k in range(tomo["n_angles"])),
-        samples_per_angle=tomo["samples_per_angle"],
-        tomography_chi_p=tomo["chi_p"], nbar_over_q=nbar_over_q)
+        omega_kick=cfg["omega_kick"], two_pulse=cfg["two_pulse"])
     summary = pr.run_protocol(config, grid=cfg["grid"])
-    pr.records_to_jsonl(summary, out / "runs.jsonl")
-    _write(out, "summary.json", pr.summary_to_json(summary) + "\n")
+
+    w = w_min = w_vol = tomo_wigner = tomo_report = None
     if summary.mean_state is not None:
         w = wg.wigner_transform(summary.mean_state)
+        w_min, w_vol = wg.negativity(w)
+        if tomo is not None:
+            # the first child of the seed that no run reads
+            rng = np.random.default_rng(np.random.SeedSequence(
+                config.seed, spawn_key=(config.n_runs,)))
+            angles = np.arange(tomo["n_angles"]) * math.pi / tomo["n_angles"]
+            tomo_wigner, tomo_report = pr.tomography(
+                summary.mean_state, angles, tomo["chi_p"],
+                tomo["samples_per_angle"], rng)
+
+    pr.records_to_jsonl(summary, out / "runs.jsonl")
+    doc = {name: getattr(summary, name) for name in (
+        "n_runs", "n_accepted", "acceptance_rate", "acceptance_stderr",
+        "closed_form_probability")}
+    doc.update(wigner_min=w_min, wigner_negative_volume=w_vol,
+               nbar_over_q=nbar_over_q, tomography=tomo_report)
+    _write(out, "summary.json", json.dumps(doc, indent=2) + "\n")
+    if w is not None:
         wg.wigner_to_csv(w, out / "wigner_mixture.csv")
-    if summary.tomography_wigner is not None:
-        wg.wigner_to_csv(summary.tomography_wigner,
-                         out / "wigner_reconstructed.csv")
-        _write(out, "tomography.json",
-               json.dumps(summary.tomography_report, indent=2) + "\n")
+    if tomo_wigner is not None:
+        wg.wigner_to_csv(tomo_wigner, out / "wigner_reconstructed.csv")
+        _write(out, "tomography.json", json.dumps(tomo_report, indent=2)
+               + "\n")
     return 0
 
 
@@ -314,7 +336,11 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed applies only to protocol, not "
                                   f"{args.command}")
             cfg["seed"] = args.seed
-        args.out.mkdir(parents=True, exist_ok=True)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out {args.out} is not a usable directory: "
+                              f"{exc.strerror or exc}")
         return COMMANDS[args.command](cfg, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,8 +10,7 @@ closed-form window map provides as a cross-check.
 Free harmonic evolution is an ideal phase-space rotation
 (X, P) -> (X cos t + P sin t, -X sin t + P cos t), applied as diagonal
 phases in the Fock basis; mechanical bath coupling during the inter-pulse
-interval is neglected (the rethermalization figure nbar/Q quantifies why,
-and is surfaced in the summary when supplied).
+interval is neglected (the rethermalization figure nbar/Q quantifies why).
 
 Tomography measures the rotated position marginal through phase-quadrature
 homodyning with strength chi_p: outcomes q = chi_p x + N(0, 1/2), i.e.
@@ -51,7 +50,6 @@ __all__ = [
     "run_protocol",
     "tomography",
     "records_to_jsonl",
-    "summary_to_json",
 ]
 
 _BLOCK_RUNS = 256  # runs per block: bounds the block arrays to a few MB
@@ -69,25 +67,16 @@ class ProtocolConfig:
     seed: int
     omega_kick: float = 0.0
     two_pulse: bool = False
-    tomography_angles: tuple = ()
-    samples_per_angle: int = 0
-    tomography_chi_p: float = 10.0
-    nbar_over_q: float | None = None
 
     def __post_init__(self):
         if self.n_runs < 1:
             raise DomainError("n_runs must be >= 1")
-        for name in ("seed", "samples_per_angle"):
-            if getattr(self, name) < 0:
-                raise DomainError(f"{name} must be >= 0")
-        if not (math.isfinite(self.tomography_chi_p)
-                and self.tomography_chi_p > 0):
-            raise DomainError("tomography_chi_p must be finite and positive")
+        if self.seed < 0:
+            raise DomainError("seed must be >= 0")
         if not (math.isfinite(self.chi) and self.chi > 0):
             raise DomainError("chi must be finite and positive")
         if not math.isfinite(self.omega_kick):
             raise DomainError("omega_kick must be finite")
-        _checked_angles(self.tomography_angles)
 
 
 @dataclass
@@ -100,14 +89,9 @@ class ProtocolSummary:
     acceptance_rate: float
     acceptance_stderr: float
     closed_form_probability: float
-    wigner_min: float | None
-    wigner_negative_volume: float | None
     mean_state: DensityMatrixGrid | None
     outcomes: np.ndarray = field(repr=False)
     accepted: np.ndarray = field(repr=False)
-    nbar_over_q: float | None = None
-    tomography_wigner: WignerGrid | None = field(repr=False, default=None)
-    tomography_report: dict | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -169,10 +153,12 @@ def two_pulse_prepare(state: DensityMatrixGrid, chi: float, omega: float,
 
 def run_protocol(config: ProtocolConfig,
                  grid: QuadratureGrid | None = None) -> ProtocolSummary:
-    """Monte-Carlo the preparation stage and summarize the accepted ensemble.
+    """Monte-Carlo the preparation stage; return the campaign, without any
+    Wigner analysis of its mean state (None if no run is accepted).
 
-    Each run draws from its own generator spawned from the master seed, so
-    outcomes are reproducible run by run.  All maps are diagonal in position:
+    Run k draws from PCG64 on SeedSequence(seed, spawn_key=(k,)), so outcomes
+    are reproducible run by run; child n_runs, which no run reads, seeds the
+    tomography of `optomech protocol`.  All maps are diagonal in position:
     run k's state is rho_base o (b_k b_k^dag), b_k = U(q1) / sqrt(p1) on rho0
     (one pulse) or U(q2) U(q1)[::-1] / sqrt(p1 p2) on flipped rho0 (two).
     Every b_k is phi e_k with one outcome-independent kick phase phi
@@ -237,45 +223,22 @@ def run_protocol(config: ProtocolConfig,
         closed_form = 0.0
 
     mean_state = None
-    w_min = w_vol = None
-    tomo_wigner = tomo_report = None
     if n_acc:
         base, phase = state0.rho, np.exp(1j * omega * xs)
         if config.two_pulse:
             base, phase = base[::-1, ::-1], phase * phase[::-1]
         mean_state = DensityMatrixGrid(
             grid, base * (mixture * _kick_phase(phase)) / n_acc)
-        w_min, w_vol = negativity(wigner_transform(mean_state))
-        if config.tomography_angles:
-            tomo_rng = np.random.Generator(np.random.PCG64(master.spawn(1)[0]))
-            tomo_wigner, tomo_report = tomography(
-                mean_state, config.tomography_angles,
-                config.tomography_chi_p, config.samples_per_angle,
-                tomo_rng)
 
     return ProtocolSummary(
         n_runs=config.n_runs, n_accepted=n_acc, acceptance_rate=rate,
         acceptance_stderr=stderr, closed_form_probability=closed_form,
-        wigner_min=w_min, wigner_negative_volume=w_vol,
-        mean_state=mean_state, outcomes=outcomes, accepted=accepted,
-        nbar_over_q=config.nbar_over_q,
-        tomography_wigner=tomo_wigner, tomography_report=tomo_report)
+        mean_state=mean_state, outcomes=outcomes, accepted=accepted)
 
 
 # ---------------------------------------------------------------------------
 # tomography
 # ---------------------------------------------------------------------------
-
-def _checked_angles(angles) -> np.ndarray:
-    """The tomography angles as a sorted float array; DomainError unless
-    they are distinct and lie in [0, pi) (NaN sorts last and fails)."""
-    angles = np.sort(np.asarray(angles, dtype=float))
-    if angles.size and not (angles[0] >= 0.0 and angles[-1] < math.pi):
-        raise DomainError("tomography angles must lie in [0, pi)")
-    if np.unique(angles).size != angles.size:
-        raise DomainError("tomography angles must be distinct")
-    return angles
-
 
 def _ramp_filtered(projection: np.ndarray, ds: float) -> np.ndarray:
     """(1/2pi) integral |k| g^(k) e^{iks} dk on the sample grid, with a
@@ -310,9 +273,15 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
     renormalization, and the normalized cross-correlation against the true
     Wigner function of the input state.
     """
-    if chi_p <= 0:
-        raise DomainError("chi_p must be positive")
-    angles = _checked_angles(angles)
+    if not (math.isfinite(chi_p) and chi_p > 0):
+        raise DomainError("chi_p must be finite and positive")
+    if samples_per_angle < 0:
+        raise DomainError("samples_per_angle must be >= 0")
+    angles = np.sort(np.asarray(angles, dtype=float))  # NaN sorts last
+    if not (angles.size and angles[0] >= 0.0 and angles[-1] < math.pi):
+        raise DomainError("tomography needs one or more angles in [0, pi)")
+    if np.unique(angles).size != angles.size:
+        raise DomainError("tomography angles must be distinct")
     few = angles.size < 8 or 0 < samples_per_angle < 10_000
     xs = state.grid.xs
     dx = state.grid.dx
@@ -347,7 +316,7 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
         s_req = x_mesh * math.cos(theta) + p_mesh * math.sin(theta)
         recon += np.interp(s_req.ravel(), s_axis, q, left=0.0,
                            right=0.0).reshape(s_req.shape)
-    recon /= 2.0 * max(angles.size, 1)
+    recon /= 2.0 * angles.size
 
     raw_integral = float(np.sum(recon) * ds * ds)
     if raw_integral > 0:
@@ -387,17 +356,3 @@ def records_to_jsonl(summary: ProtocolSummary, path) -> None:
             fh.write(json.dumps({"run": i, "outcomes": q, "accepted": ok})
                      + "\n")
 
-
-def summary_to_json(summary: ProtocolSummary) -> str:
-    doc = {
-        "n_runs": summary.n_runs,
-        "n_accepted": summary.n_accepted,
-        "acceptance_rate": summary.acceptance_rate,
-        "acceptance_stderr": summary.acceptance_stderr,
-        "closed_form_probability": summary.closed_form_probability,
-        "wigner_min": summary.wigner_min,
-        "wigner_negative_volume": summary.wigner_negative_volume,
-        "nbar_over_q": summary.nbar_over_q,
-        "tomography": summary.tomography_report,
-    }
-    return json.dumps(doc, indent=2)

@@ -155,6 +155,28 @@ def test_protocol_command_deterministic(tmp_path):
     assert (out / "wigner_mixture.csv").exists()
 
 
+def test_protocol_tomography_artifacts(tmp_path):
+    cfg = {**PROTOCOL, "n_runs": 400, "seed": 5}
+    code, out = run(tmp_path, "protocol", cfg)
+    assert code == 0
+    plain_runs = (out / "runs.jsonl").read_bytes()
+    assert not (out / "tomography.json").exists()
+    tomo = {"n_angles": 16, "samples_per_angle": 20_000}
+    code, out = run(tmp_path, "protocol", {**cfg, "tomography": tomo})
+    assert code == 0
+    report = json.loads((out / "tomography.json").read_text())
+    assert report["min_w"] < -1e-3
+    assert (out / "wigner_reconstructed.csv").exists()
+    doc = json.loads((out / "summary.json").read_text())
+    assert doc["tomography"] == report
+    assert list(doc) == ["n_runs", "n_accepted", "acceptance_rate",
+                         "acceptance_stderr", "closed_form_probability",
+                         "wigner_min", "wigner_negative_volume",
+                         "nbar_over_q", "tomography"]
+    # the tomography stream leaves every run's stream as it was
+    assert (out / "runs.jsonl").read_bytes() == plain_runs
+
+
 def test_protocol_seed_flag_overrides_config(tmp_path):
     cfg = {"initial": {"kind": "ground"}, "chi": 1.0,
            "window": {"center": 1.5, "width": 0.8}, "n_runs": 100, "seed": 5}
@@ -241,18 +263,24 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
      "n_outcomes"),
     ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": -1.0}, "kappa"),
     ("protocol", {**PROTOCOL, "tomography": {"samples_per_angle": -5}},
-     "samples_per_angle"),
-    ("protocol", {**PROTOCOL, "tomography": {"chi_p": -1}}, "chi_p"),
+     "config.tomography.samples_per_angle"),
+    ("protocol", {**PROTOCOL, "tomography": {"chi_p": -1}},
+     "config.tomography.chi_p"),
     ("protocol", {**PROTOCOL, "tomography": {"n_angles": 0}},
      "config.tomography.n_angles"),
     ("protocol", {**PROTOCOL, "tomography": {"n_angles": -3}},
      "config.tomography.n_angles"),
     ("protocol", {**PROTOCOL, "seed": -1}, "seed"),
+    # the label names the output files, so it must stay inside --out
+    ("wigner", {"state": {"kind": "ground"}, "label": "a/b"}, "config.label"),
+    ("wigner", {"state": {"kind": "ground"}, "label": "a\u0000b"},
+     "config.label"),
 ], ids=["measure_one_outcome", "measure_coarse_outcomes",
         "measure_over_counting_outcomes", "pulse_negative_kappa",
         "tomography_negative_samples", "tomography_negative_chi_p",
         "tomography_zero_angles", "tomography_negative_angles",
-        "protocol_negative_seed"])
+        "protocol_negative_seed", "wigner_label_separator",
+        "wigner_label_nul"])
 def test_out_of_range_field_exit_2(tmp_path, capsys, command, cfg, named):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
@@ -350,6 +378,16 @@ def test_verify_bad_checks_exit_2(tmp_path, capsys, checks, message):
     assert code == 2
     assert message in capsys.readouterr().err
     assert not (out / "verify.json").exists()
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "below_file"])
+def test_out_not_a_directory_exit_2(tmp_path, capsys, sub):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    code = cli.main(["state", "--config", write_cfg(
+        tmp_path, {"state": {"kind": "ground"}}), "--out", str(afile / sub)])
+    assert code == 2
+    assert "--out" in capsys.readouterr().err
 
 
 def test_usage_error_exit_2():
