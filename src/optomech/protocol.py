@@ -15,8 +15,12 @@ interval is neglected (the rethermalization figure nbar/Q quantifies why).
 Tomography measures the rotated position marginal through phase-quadrature
 homodyning with strength chi_p: outcomes q = chi_p x + N(0, 1/2), i.e.
 scaled samples carry a Gaussian blur of variance 1/(2 chi_p^2) which is
-reported, not deconvolved.  Reconstruction is filtered back-projection with
-a ramp filter rolled off by a cosine at the grid Nyquist.
+reported, not deconvolved.  Every angle's marginal is 2 Re sum_k
+e^{-i theta k} A_k, A_k(x) = sum_m phi_{m+k}(x) phi_m(x) rho_{m+k,m} (A_0
+halved), from one Fock projection; per angle, uniforms then noise are drawn
+and the inverse CDF is read at the sorted uniforms, each noise value kept
+with its uniform.  Reconstruction is filtered back-projection with a ramp
+filter rolled off by a cosine at the grid Nyquist.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import gaussian_filter1d
 
 from .errors import ConditioningError, DomainError, GridError, \
     ReconstructionWarning
@@ -36,8 +39,8 @@ from .measurement import (MIN_EVENT_PROBABILITY, OutcomeDistribution,
                           _kick_phase, condition_window, outcome_kernel,
                           outcome_pdf)
 from .states import (DEFAULT_FOCK_DIM, DensityMatrixFock, DensityMatrixGrid,
-                     GaussianSpec, QuadratureGrid, default_grid, fock_to_grid,
-                     grid_to_fock, make_gaussian)
+                     GaussianSpec, QuadratureGrid, default_grid, grid_to_fock,
+                     hermite_functions, make_gaussian)
 from .wigner import WignerGrid, negativity, wigner_transform
 
 __all__ = [
@@ -254,14 +257,31 @@ def _ramp_filtered(projection: np.ndarray, ds: float) -> np.ndarray:
     return q[pad:pad + n]
 
 
+def _rotated_marginals(rho_f: np.ndarray, phi: np.ndarray,
+                       angles: np.ndarray) -> np.ndarray:
+    """Position marginals of free_evolve(rho_f, theta), one row per angle:
+    2 Re sum_k e^{-i theta k} A_k over offsets k >= 0 (Hermitian rho gives
+    k < 0 as conjugates), one real [cos, sin] @ [Re A; Im A] product."""
+    dim = phi.shape[0]
+    re_im = rho_f.view(np.float64).reshape(dim, dim, 2)
+    bands = np.empty((2, dim, phi.shape[1]))  # [Re A; Im A]
+    for k in range(dim):
+        bands[:, k] = np.diagonal(re_im, -k) @ (phi[k:] * phi[:dim - k])
+    bands[:, 0] *= 0.5
+    phase = np.outer(angles, np.arange(dim))
+    return 2.0 * np.hstack([np.cos(phase), np.sin(phase)]) @ bands.reshape(
+        2 * dim, -1)
+
+
 def tomography(state: DensityMatrixGrid, angles, chi_p: float,
                samples_per_angle: int, rng: np.random.Generator,
                fock_dim: int = DEFAULT_FOCK_DIM):
     """Reconstruct the Wigner function from rotated-quadrature homodyne data.
 
-    At each angle the state is freely evolved, its position marginal is
-    sampled through the phase-quadrature readout (Gaussian shot noise of
-    variance 1/2 on chi_p x, so scaled outcomes x + N(0, 1/(2 chi_p^2))),
+    At each angle the freely evolved state's position marginal (from one
+    Fock projection, as the module docstring gives it, then sampled in
+    sorted order) goes through the phase-quadrature readout (Gaussian shot
+    noise of variance 1/2 on chi_p x, so outcomes x + N(0, 1/(2 chi_p^2))),
     and filtered back-projection over the angle set yields W on a square
     detector grid (every 4th point of the state grid), whose Nyquist
     frequency is where the ramp filter's cosine rolloff ends.
@@ -283,39 +303,39 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
     if np.unique(angles).size != angles.size:
         raise DomainError("tomography angles must be distinct")
     few = angles.size < 8 or 0 < samples_per_angle < 10_000
-    xs = state.grid.xs
-    dx = state.grid.dx
+    xs, dx = state.grid.xs, state.grid.dx
     s_axis = xs[::_RECON_STRIDE]
     ds = float(s_axis[1] - s_axis[0])
     blur_var = 1.0 / (2.0 * chi_p**2)
-    fock = grid_to_fock(state, fock_dim)
+    marginals = np.clip(_rotated_marginals(grid_to_fock(state, fock_dim).rho,
+                                           hermite_functions(xs, fock_dim),
+                                           angles), 0.0, None)
 
     exact = samples_per_angle == 0
+    sigma = math.sqrt(blur_var) / dx  # noiseless blur, in grid cells
+    radius = int(8.0 * sigma + 0.5) if exact else 0  # 8-sigma window
+    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
+    kernel /= kernel.sum()
     edges = np.concatenate([s_axis - 0.5 * ds, [s_axis[-1] + 0.5 * ds]])
-    filtered = []
-    for theta in angles:
-        rotated = fock_to_grid(free_evolve(fock, float(theta)), state.grid)
-        marginal = np.clip(rotated.diagonal(), 0.0, None)
+    x_mesh, p_mesh = np.meshgrid(s_axis, s_axis, indexing="ij")
+    recon = np.zeros_like(x_mesh)
+    for theta, marginal in zip(angles, marginals):
         if exact:
-            blurred = gaussian_filter1d(marginal, math.sqrt(blur_var) / dx,
-                                        mode="constant", truncate=8.0)
+            blurred = np.convolve(marginal, kernel)[radius:radius + xs.size]
             counts, _ = np.histogram(xs, bins=edges, weights=blurred * dx)
             g = counts / ds
         else:
-            pos = np.interp(rng.uniform(size=samples_per_angle),
-                            np.cumsum(marginal) / marginal.sum(), xs)
-            data = pos + rng.normal(0.0, math.sqrt(blur_var),
-                                    size=samples_per_angle)
+            u = rng.uniform(size=samples_per_angle)
+            noise = rng.normal(0.0, math.sqrt(blur_var),
+                               size=samples_per_angle)
+            order = np.argsort(u)  # sorted lookups; the same sample multiset
+            data = np.interp(u[order], np.cumsum(marginal) / marginal.sum(),
+                             xs) + noise[order]
             counts, _ = np.histogram(data, bins=edges)
             g = counts / (samples_per_angle * ds)
-        filtered.append(_ramp_filtered(g, ds))
-
-    x_mesh, p_mesh = np.meshgrid(s_axis, s_axis, indexing="ij")
-    recon = np.zeros_like(x_mesh)
-    for theta, q in zip(angles, filtered):
         s_req = x_mesh * math.cos(theta) + p_mesh * math.sin(theta)
-        recon += np.interp(s_req.ravel(), s_axis, q, left=0.0,
-                           right=0.0).reshape(s_req.shape)
+        recon += np.interp(s_req.ravel(), s_axis, _ramp_filtered(g, ds),
+                           left=0.0, right=0.0).reshape(s_req.shape)
     recon /= 2.0 * angles.size
 
     raw_integral = float(np.sum(recon) * ds * ds)

@@ -146,10 +146,10 @@ def optimal_square_spectrum(kappa: float, t_axis=None) -> PulseEnvelope:
 def lorentzian_spectrum(kappa: float) -> PulseEnvelope:
     """Time-domain envelope of the Lorentzian-power-spectrum drive.
 
-    alpha(t) = (sqrt(2 kappa)/pi) K_0(kappa |t|) on the default time grid;
-    the integrable log spike at t = 0 is clipped at an eighth of a grid
-    cell, and the final unit-norm rescale absorbs the (sub-1e-6) mass error
-    this introduces.
+    alpha(t) = (sqrt(2 kappa)/pi) K_0(kappa |t|) on the default time grid.
+    The dt/8 clip of the log spike at t = 0 never acts there (the nearest
+    node is 0.19 dt from 0); the unit-norm rescale absorbs the 4.3e-4 of
+    the norm that the trapezoid rule loses on the spike.
     """
     t_axis = default_time_grid(kappa)
     dt = float(t_axis[1] - t_axis[0])

@@ -208,6 +208,14 @@ def hermite_functions(xs: np.ndarray, dim: int) -> np.ndarray:
     return phi
 
 
+def _congruence_t(left: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """(left @ z @ left.T).T for real left and C-contiguous complex z, as
+    two real GEMMs on interleaved float64 views (numpy would promote left)."""
+    half = (left @ z.view(np.float64)).view(np.complex128)
+    return (left @ np.ascontiguousarray(half.T).view(np.float64)).view(
+        np.complex128)
+
+
 def grid_to_fock(state: DensityMatrixGrid, dim: int = DEFAULT_FOCK_DIM,
                  tail_tol: float = 1e-6) -> DensityMatrixFock:
     """Project onto the number basis: rho_nm = sum phi_n rho phi_m dx^2.
@@ -216,7 +224,7 @@ def grid_to_fock(state: DensityMatrixGrid, dim: int = DEFAULT_FOCK_DIM,
     tail_tol population, i.e. dim is too small for this state.
     """
     phi = hermite_functions(state.grid.xs, dim)
-    rho_f = (phi @ state.rho @ phi.T) * state.grid.dx**2
+    rho_f = _congruence_t(phi, state.rho).T * state.grid.dx**2
     out = DensityMatrixFock(dim, rho_f)
     tail = out.tail_mass()
     if not tail < tail_tol:
@@ -229,7 +237,8 @@ def grid_to_fock(state: DensityMatrixGrid, dim: int = DEFAULT_FOCK_DIM,
 def fock_to_grid(state: DensityMatrixFock, grid: QuadratureGrid) -> DensityMatrixGrid:
     """Inverse of grid_to_fock: rho(x_i, x_j) = sum phi_n(x_i) rho_nm phi_m(x_j)."""
     phi = hermite_functions(grid.xs, state.dim)
-    return DensityMatrixGrid(grid, phi.T @ state.rho @ phi)
+    rho_t = np.ascontiguousarray(state.rho.T)  # the product comes out C-order
+    return DensityMatrixGrid(grid, _congruence_t(phi.T, rho_t))
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,7 @@ def _bound(name, desc, bound, measured, overrides, below=True) -> CheckResult:
 # criterion 1: parameter-table chain
 # ---------------------------------------------------------------------------
 
-def check_table1(overrides) -> list[CheckResult]:
+def check_table1(overrides, shared) -> list[CheckResult]:
     sys = pm.SystemParams(**TABLE1_INPUTS)
     der = pm.derive(sys)
     # chi_x's 5 % band moves delta = sqrt(6 chi - 2) / chi by at most 1.26 %
@@ -96,7 +96,7 @@ def _fig2_states(grid):
     return {name: st.make_gaussian(grid, spec) for name, spec in specs.items()}
 
 
-def check_window_probabilities(overrides) -> list[CheckResult]:
+def check_window_probabilities(overrides, shared) -> list[CheckResult]:
     grid = st.default_grid()
     states = _fig2_states(grid)
     cases = [("ground", 1.5, 0.149), ("thermal", 1.5, 0.145),
@@ -115,7 +115,7 @@ def check_window_probabilities(overrides) -> list[CheckResult]:
 # criterion 3: Monte-Carlo acceptance consistency
 # ---------------------------------------------------------------------------
 
-def check_monte_carlo(overrides) -> list[CheckResult]:
+def check_monte_carlo(overrides, shared) -> list[CheckResult]:
     cfg = pr.ProtocolConfig(initial=st.GaussianSpec("ground"), chi=1.0,
                             window=ms.OutcomeWindow(1.5, 0.8),
                             n_runs=10_000, seed=DEFAULT_SEED)
@@ -133,7 +133,7 @@ def check_monte_carlo(overrides) -> list[CheckResult]:
 # criterion 4: pulse-shape verification
 # ---------------------------------------------------------------------------
 
-def check_pulse(overrides) -> list[CheckResult]:
+def check_pulse(overrides, shared) -> list[CheckResult]:
     kappa, n_p, g = 1.0, 1.7e9, 1.9e-3
     env = pl.optimal_square_spectrum(kappa)
     modes = pl.cascade_integrate(env, kappa)
@@ -158,7 +158,7 @@ def check_pulse(overrides) -> list[CheckResult]:
 # criterion 5: mean-outcome law
 # ---------------------------------------------------------------------------
 
-def check_mean_outcome(overrides) -> list[CheckResult]:
+def check_mean_outcome(overrides, shared) -> list[CheckResult]:
     grids = {0.0: st.default_grid(),
              2.0: st.QuadratureGrid(-12.0, 12.0, 1024),
              10.0: st.QuadratureGrid(-24.0, 24.0, 2048)}
@@ -192,10 +192,23 @@ def _fig2_panels(grid):
     }
 
 
-def check_negativity_pattern(overrides) -> list[CheckResult]:
-    panels = _fig2_panels(st.default_grid())
-    metrics = {k: wg.negativity(wg.wigner_transform(v))
-               for k, v in panels.items()}
+def _fig2_metrics(shared):
+    """Label -> (min W, negative volume, |integral W - 1|, marginal and
+    purity mismatch) of the Fig-2 panels, once per run_checks call; only
+    these numbers are kept, not the panels or their W."""
+    if "fig2" not in shared:
+        shared["fig2"] = {}
+        for label, state in _fig2_panels(st.default_grid()).items():
+            w = wg.wigner_transform(state)
+            shared["fig2"][label] = wg.negativity(w) + (
+                abs(w.integral() - 1.0),
+                float(np.max(np.abs(w.marginal_x() - state.diagonal()))),
+                abs(w.purity_overlap() - st.purity(state)))
+    return shared["fig2"]
+
+
+def check_negativity_pattern(overrides, shared) -> list[CheckResult]:
+    metrics = _fig2_metrics(shared)
     out = []
     for label in ("b", "h"):
         out.append(_bound(f"negativity.min_{label}",
@@ -213,15 +226,10 @@ def check_negativity_pattern(overrides) -> list[CheckResult]:
     return out
 
 
-def check_wigner_identities(overrides) -> list[CheckResult]:
-    panels = _fig2_panels(st.default_grid())
-    worst_norm = worst_marg = worst_pur = 0.0
-    for state in panels.values():
-        w = wg.wigner_transform(state)
-        worst_norm = max(worst_norm, abs(w.integral() - 1.0))
-        worst_marg = max(worst_marg, float(np.max(np.abs(
-            w.marginal_x() - state.diagonal()))))
-        worst_pur = max(worst_pur, abs(w.purity_overlap() - st.purity(state)))
+def check_wigner_identities(overrides, shared) -> list[CheckResult]:
+    metrics = _fig2_metrics(shared).values()
+    worst_norm, worst_marg, worst_pur = (max(m[i] for m in metrics)
+                                         for i in (2, 3, 4))
     return [
         _bound("wigner.normalization", "worst |integral W - 1| over panels",
                1e-5, worst_norm, overrides),
@@ -236,7 +244,7 @@ def check_wigner_identities(overrides) -> list[CheckResult]:
 # criterion 7: oracle equivalences
 # ---------------------------------------------------------------------------
 
-def check_oracles(overrides) -> list[CheckResult]:
+def check_oracles(overrides, shared) -> list[CheckResult]:
     grid = st.default_grid()
     ground = st.make_gaussian(grid, st.GaussianSpec("ground"))
     win = ms.OutcomeWindow(1.5, 0.8)
@@ -268,7 +276,7 @@ def check_oracles(overrides) -> list[CheckResult]:
 # criteria 9-12: kinematics and parameter figures
 # ---------------------------------------------------------------------------
 
-def check_momentum_cancellation(overrides) -> list[CheckResult]:
+def check_momentum_cancellation(overrides, shared) -> list[CheckResult]:
     vacuum = st.make_gaussian(st.default_grid(), st.GaussianSpec("ground"))
     out, _ = pr.two_pulse_prepare(vacuum, 1.0, 5.0,
                                   ms.OutcomeWindow(0.5, 60.0))
@@ -278,13 +286,13 @@ def check_momentum_cancellation(overrides) -> list[CheckResult]:
                    mean_p, overrides)]
 
 
-def check_physical_separation(overrides) -> list[CheckResult]:
+def check_physical_separation(overrides, shared) -> list[CheckResult]:
     sep = wg.physical_separation(2.0, 10e-15)
     return [_rel("separation.physical", "physical separation [m]", 28e-15,
                  0.02, sep, overrides)]
 
 
-def check_strength_ratio(overrides) -> list[CheckResult]:
+def check_strength_ratio(overrides, shared) -> list[CheckResult]:
     sweep = [(5e4, 5e4, 40e-12, 40e-12, 0.5),
              (1e5, 5e4, 40e-12, 40e-12, 0.5),
              (5e4, 2e4, 10e-12, 40e-12, 0.9),
@@ -304,7 +312,7 @@ def check_strength_ratio(overrides) -> list[CheckResult]:
                    0.03, worst, overrides)]
 
 
-def check_rethermalization(overrides) -> list[CheckResult]:
+def check_rethermalization(overrides, shared) -> list[CheckResult]:
     nbar = pm.thermal_occupation(25e-3, 2 * math.pi * 2e3)
     return [_rel("rethermalization.nbar_over_q", "nbar/Q at 25 mK, Q=5e6",
                  0.05, 0.10, nbar / 5e6, overrides)]
@@ -314,7 +322,7 @@ def check_rethermalization(overrides) -> list[CheckResult]:
 # criterion 13: tomography round trip
 # ---------------------------------------------------------------------------
 
-def check_tomography(overrides) -> list[CheckResult]:
+def check_tomography(overrides, shared) -> list[CheckResult]:
     grid = st.default_grid()
     ground = st.make_gaussian(grid, st.GaussianSpec("ground"))
     angles = [k * math.pi / 16 for k in range(16)]
@@ -355,11 +363,12 @@ CHECKS = {
 
 def run_checks(names=None, overrides=None) -> list[CheckResult]:
     """CheckResult rows of the named checks (every check by default), in
-    order; each name must be a key of CHECKS."""
+    order; each name must be a key of CHECKS.  The checks of one call share
+    one dict (the Fig-2 panel metrics)."""
     overrides = dict(overrides or {})
-    results = []
+    results, shared = [], {}
     for name in CHECKS if names is None else names:
-        results.extend(CHECKS[name](overrides))
+        results.extend(CHECKS[name](overrides, shared))
     return results
 
 

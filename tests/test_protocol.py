@@ -309,3 +309,62 @@ def test_tomography_validates_angles(ground):
             PR.tomography(ground, ANGLES16, chi_p, 0, None)
     with pytest.raises(DomainError, match="one or more angles"):
         PR.tomography(ground, [], 10.0, 0, None)
+
+
+# non-uniform, unsorted angles: the marginals may not lean on an even grid
+ODD_ANGLES = [0.0, 2.9, 0.37, 1.2, 1.5707963267948966, 3.1]
+
+
+@pytest.mark.parametrize("maker", ["ground", "squeezed", "fig2b",
+                                   "displaced"])
+def test_rotated_marginals_match_fock_round_trip(grid, ground, squeezed,
+                                                 maker):
+    # the displaced state has a complex rho_F, so Im A_k is exercised too
+    state = {"ground": ground, "squeezed": squeezed,
+             "fig2b": M.condition_window(ground, 1.0, 0.0, window())[0],
+             "displaced": states.make_gaussian(grid, states.GaussianSpec(
+                 "ground", mean_x=1.0, mean_p=-0.7))}[maker]
+    fock = states.grid_to_fock(state, 128)
+    marginals = PR._rotated_marginals(
+        fock.rho, states.hermite_functions(grid.xs, 128), ODD_ANGLES)
+    for theta, marginal in zip(ODD_ANGLES, marginals):
+        ref = states.fock_to_grid(PR.free_evolve(fock, theta),
+                                  grid).diagonal()
+        assert np.max(np.abs(marginal - ref)) <= 1e-14 * np.max(ref)
+
+
+def reference_tomography_w(state, angles, chi_p, samples, rng, dim):
+    """Sampled tomography's W by the per-angle loop it replaced: one Fock
+    round trip per angle, then unsorted inverse-CDF lookups."""
+    xs, dx = state.grid.xs, state.grid.dx
+    s_axis = xs[::4]
+    ds = float(s_axis[1] - s_axis[0])
+    edges = np.concatenate([s_axis - 0.5 * ds, [s_axis[-1] + 0.5 * ds]])
+    fock = states.grid_to_fock(state, dim)
+    x_mesh, p_mesh = np.meshgrid(s_axis, s_axis, indexing="ij")
+    recon = np.zeros_like(x_mesh)
+    for theta in angles:
+        rotated = states.fock_to_grid(PR.free_evolve(fock, float(theta)),
+                                      state.grid)
+        marginal = np.clip(rotated.diagonal(), 0.0, None)
+        pos = np.interp(rng.uniform(size=samples),
+                        np.cumsum(marginal) / marginal.sum(), xs)
+        data = pos + rng.normal(0.0, math.sqrt(1.0 / (2.0 * chi_p**2)),
+                                size=samples)
+        counts, _ = np.histogram(data, bins=edges)
+        q = PR._ramp_filtered(counts / (samples * ds), ds)
+        s_req = x_mesh * math.cos(theta) + p_mesh * math.sin(theta)
+        recon += np.interp(s_req.ravel(), s_axis, q, left=0.0,
+                           right=0.0).reshape(s_req.shape)
+    recon /= 2.0 * len(angles)
+    return recon / float(np.sum(recon) * ds * ds)
+
+
+def test_sampled_tomography_matches_per_angle_reference(ground):
+    conditioned, _ = M.condition_window(ground, 1.0, 0.0, window())
+    angles = sorted(ODD_ANGLES + [0.8, 2.2])
+    wigner, _ = PR.tomography(conditioned, angles, 10.0, 20_000,
+                              np.random.default_rng(11), fock_dim=128)
+    ref = reference_tomography_w(conditioned, angles, 10.0, 20_000,
+                                 np.random.default_rng(11), 128)
+    assert np.array_equal(wigner.w, ref)

@@ -289,3 +289,25 @@ def test_diagonal_csv(tmp_path, ground):
     x, d = map(float, rows[1].split(","))
     assert x == pytest.approx(-8.0)
     assert d == pytest.approx(ground.diagonal()[0], rel=1e-9)
+
+
+@pytest.mark.parametrize("maker", ["ground", "squeezed", "fig2b",
+                                   "displaced"])
+def test_fock_round_trip_matches_dense_products(grid, maker):
+    # each map is two real GEMMs on interleaved float64 views; fock_to_grid
+    # associates as phi.T (rho phi), so its rounding differs from the
+    # left-to-right complex product by a few ulps of the largest entry
+    state = {"ground": gaussian(grid),
+             "squeezed": gaussian(grid, "momentum_squeezed", r=0.5),
+             "fig2b": M.condition_window(gaussian(grid), 1.0, 0.0,
+                                         M.OutcomeWindow(1.5, 0.8))[0],
+             "displaced": gaussian(grid, mean_x=1.0, mean_p=-0.7)}[maker]
+    phi = states.hermite_functions(grid.xs, 128)
+    fock = states.grid_to_fock(state, 128)
+    dense = (phi @ state.rho @ phi.T) * grid.dx**2
+    assert fock.rho.flags.c_contiguous
+    assert np.max(np.abs(fock.rho - dense)) <= 1e-15 * np.max(np.abs(dense))
+    back = states.fock_to_grid(fock, grid)
+    dense = phi.T @ fock.rho @ phi
+    assert back.rho.flags.c_contiguous
+    assert np.max(np.abs(back.rho - dense)) <= 1e-14 * np.max(np.abs(dense))
