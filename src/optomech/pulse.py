@@ -27,6 +27,7 @@ strictly smaller chi.  Among drives whose spectral concentration
 integral alpha_in^4(omega) d omega does not exceed the matched pulse's
 (i.e. pulses at most as long), Cauchy-Schwarz makes the matched spectrum
 the exact maximizer, which is what the random-envelope probe exercises.
+No envelope is rescaled: each has unit norm by construction.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import k0e, k1e
+from scipy.special import k0, k1
 
 from .errors import DomainError, TruncationError
 
@@ -65,7 +66,6 @@ class PulseEnvelope:
 
     t_axis: np.ndarray
     samples: np.ndarray
-    rescale_factor: float = 1.0  # applied to enforce unit time-domain norm
 
     @property
     def dt(self) -> float:
@@ -95,16 +95,6 @@ def default_time_grid(kappa: float) -> np.ndarray:
     return np.linspace(-12.0 / kappa, 25.0 / kappa, 49153)
 
 
-def _check_time_grid(kappa: float, t_axis: np.ndarray) -> None:
-    span = float(t_axis[-1] - t_axis[0])
-    if span < 20.0 / kappa:
-        raise TruncationError(f"time grid spans {span * kappa:.1f}/kappa, "
-                              "need at least 20/kappa")
-    if t_axis[0] > -8.0 / kappa or t_axis[-1] < 8.0 / kappa:
-        raise TruncationError("time grid must bracket the pulse center 0 by "
-                              "at least 8/kappa on each side")
-
-
 def optimal_spectrum_amplitude(omega, kappa: float):
     """Amplitude spectrum of the matched X^2 drive, sqrt of the stated power
     spectrum: sqrt(8 kappa^5 / 3 pi) (kappa^2 + omega^2)^(-3/2)."""
@@ -119,43 +109,40 @@ def lorentzian_spectrum_amplitude(omega, kappa: float):
                                      + np.asarray(omega, dtype=float) ** 2)))
 
 
-def _finalize_envelope(t_axis, samples) -> PulseEnvelope:
-    nrm2 = float(np.trapezoid(samples**2, t_axis))
-    scale = 1.0 / math.sqrt(nrm2)
-    return PulseEnvelope(t_axis, samples * scale, rescale_factor=scale)
-
-
 def optimal_square_spectrum(kappa: float, t_axis=None) -> PulseEnvelope:
     """Time-domain envelope of the matched X^2 drive.
 
     The inverse transform of the amplitude spectrum is
     alpha(t) = sqrt(2/pi) A (|t|/kappa) K_1(kappa |t|), A = sqrt(8 kappa^5/3 pi),
-    smooth at t = 0 where t K_1(kappa t) -> 1/kappa.  Samples are rescaled to
-    unit time-domain norm (the factor only absorbs grid truncation).
+    smooth at t = 0 where t K_1(kappa t) -> 1/kappa.  It has unit norm in
+    closed form; its trapezoid norm on the default grid is 1 - 2.1e-10.
     """
     if t_axis is None:
         t_axis = default_time_grid(kappa)
-    _check_time_grid(kappa, t_axis)
+    span = float(t_axis[-1] - t_axis[0])
+    if span < 20.0 / kappa:
+        raise TruncationError(f"time grid spans {span * kappa:.1f}/kappa, "
+                              "need at least 20/kappa")
+    if t_axis[0] > -8.0 / kappa or t_axis[-1] < 8.0 / kappa:
+        raise TruncationError("time grid must bracket the pulse center 0 by "
+                              "at least 8/kappa on each side")
     amp = math.sqrt(8.0 * kappa**5 / (3.0 * math.pi))
     z = kappa * np.abs(t_axis)
-    vals = np.where(z < 1e-12, 1.0 / kappa,
-                    np.abs(t_axis) * k1e(np.maximum(z, 1e-12)) * np.exp(-z))
-    return _finalize_envelope(t_axis, math.sqrt(2.0 / math.pi) * amp * vals)
+    vals = np.where(z < 1e-12, 1.0, z * k1(np.maximum(z, 1e-12))) / kappa
+    return PulseEnvelope(t_axis, math.sqrt(2.0 / math.pi) * amp * vals)
 
 
 def lorentzian_spectrum(kappa: float) -> PulseEnvelope:
     """Time-domain envelope of the Lorentzian-power-spectrum drive.
 
-    alpha(t) = (sqrt(2 kappa)/pi) K_0(kappa |t|) on the default time grid.
-    The dt/8 clip of the log spike at t = 0 never acts there (the nearest
-    node is 0.19 dt from 0); the unit-norm rescale absorbs the 4.3e-4 of
-    the norm that the trapezoid rule loses on the spike.
+    alpha(t) = (sqrt(2 kappa)/pi) K_0(kappa |t|) on the default time grid,
+    whose nodes miss the log spike at t = 0 (the nearest lies 0.19 dt from
+    it).  The closed form has unit norm (integral of K_0^2 over t > 0 is
+    pi^2/4); the trapezoid rule loses 4.3e-4 of it on the spike.
     """
     t_axis = default_time_grid(kappa)
-    dt = float(t_axis[1] - t_axis[0])
-    z = np.maximum(kappa * np.abs(t_axis), kappa * dt / 8.0)
-    vals = k0e(z) * np.exp(-z)
-    return _finalize_envelope(t_axis, (math.sqrt(2.0 * kappa) / math.pi) * vals)
+    return PulseEnvelope(t_axis, math.sqrt(2.0 * kappa) / math.pi
+                         * k0(kappa * np.abs(t_axis)))
 
 
 def random_smooth_envelope(kappa: float,
@@ -163,41 +150,45 @@ def random_smooth_envelope(kappa: float,
     """Random smooth drive at matched spectral concentration.
 
     Draws a positive bump mixture for the power spectrum f(omega),
-    symmetrizes it, and rescales the frequency axis so that
-    integral f^2 domega equals the matched pulse's value (f_s = s f(s omega)
-    keeps unit area while scaling the concentration by s).  Pulses of this
-    family cannot beat the matched spectrum's chi, which makes them fair
-    probes of the optimality claim.
+    symmetrizes it, normalizes its area on 2049 nodes over |omega| <= 12
+    kappa and rescales the frequency axis so that integral f^2 domega
+    equals the matched pulse's value (f_s = s f(s omega) keeps unit area
+    while scaling the concentration by s).  sqrt(f_s) on the nodes
+    omega_k = 2 pi k / (2^16 dt) of that band is one irfft, as
+    cos(omega_k m dt) = cos(2 pi k m / 2^16); by Parseval the trapezoid
+    norm is 1 to 1e-12.  Pulses of this family cannot beat the matched
+    spectrum's chi, which makes them fair probes of the optimality claim.
     """
     if kappa <= 0:
         raise DomainError("kappa must be positive")
     # duration matching can stretch the pulse well beyond the matched
     # spectrum's tails, so the probe grid is much longer than the default
     t_axis = np.linspace(-50.0 / kappa, 50.0 / kappa, 28673)
-    n_omega = 2049
     n_bumps = int(rng.integers(2, 6))
     centers = rng.uniform(-1.5 * kappa, 1.5 * kappa, n_bumps)
     widths = rng.uniform(0.6 * kappa, 1.2 * kappa, n_bumps)
     amps = rng.uniform(0.2, 1.0, n_bumps)
 
+    def mixture(omega):
+        return sum(a * (np.exp(-0.5 * ((omega - c) / width) ** 2)
+                        + np.exp(-0.5 * ((omega + c) / width) ** 2))
+                   for c, width, a in zip(centers, widths, amps))
+
     w_max = 12.0 * kappa
-    omega = np.linspace(-w_max, w_max, n_omega)
+    omega = np.linspace(-w_max, w_max, 2049)
     dw = float(omega[1] - omega[0])
-    f = np.zeros_like(omega)
-    for c, width, a in zip(centers, widths, amps):
-        f += a * (np.exp(-0.5 * ((omega - c) / width) ** 2)
-                  + np.exp(-0.5 * ((omega + c) / width) ** 2))
-    f /= np.sum(f) * dw
-    s = (MATCHED_SPECTRAL_CONCENTRATION / kappa) / float(np.sum(f**2) * dw)
-    omega_s = omega / s
-    amp_weights = np.sqrt(s * f) * (dw / s) / math.sqrt(2.0 * math.pi)
-    # inverse transform (real even spectrum -> real even envelope), chunked
-    # over frequency to keep the cosine matrix small
-    samples = np.zeros_like(t_axis)
-    for start in range(0, n_omega, 256):
-        blk = slice(start, start + 256)
-        samples += amp_weights[blk] @ np.cos(np.outer(omega_s[blk], t_axis))
-    return _finalize_envelope(t_axis, samples)
+    f = mixture(omega)
+    area = float(np.sum(f) * dw)
+    s = (MATCHED_SPECTRAL_CONCENTRATION / kappa) \
+        / float(np.sum((f / area) ** 2) * dw)
+    n_fft, dt = 1 << 16, 100.0 / (kappa * (t_axis.size - 1))
+    d_omega = 2.0 * math.pi / (n_fft * dt)
+    nodes = d_omega * np.arange(int(w_max / (s * d_omega)) + 1)
+    # irfft zero-pads the band and adds each -omega_k term; unscaled sum
+    wrapped = np.fft.irfft(np.sqrt(s * mixture(s * nodes) / area) * d_omega
+                           / math.sqrt(2.0 * math.pi), n_fft, norm="forward")
+    samples = np.roll(wrapped, t_axis.size // 2)[:t_axis.size]  # t < 0 wraps
+    return PulseEnvelope(t_axis, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +221,6 @@ def cascade_integrate(pulse: PulseEnvelope, kappa: float) -> ModeFunctions:
                  math.sqrt(2.0) * kappa):
         spectrum = spectrum * (gain * lowpass)
         alphas.append(np.fft.irfft(spectrum, 2 * n)[:n])
-    modes = ModeFunctions(pulse.t_axis, *alphas)
     for name, arr in zip(("alpha0", "alpha1", "alpha2"), alphas):
         if not np.all(np.isfinite(arr)):
             raise TruncationError(f"{name} integration diverged")
@@ -240,7 +230,7 @@ def cascade_integrate(pulse: PulseEnvelope, kappa: float) -> ModeFunctions:
             raise TruncationError(
                 f"{name} has not decayed at the final grid time "
                 f"({tail / peak:.2e} of peak); extend the time grid")
-    return modes
+    return ModeFunctions(pulse.t_axis, *alphas)
 
 
 def numeric_square_strength(modes: ModeFunctions, photon_number: float,
@@ -264,8 +254,7 @@ def numeric_momentum_kick(modes: ModeFunctions, photon_number: float,
     of the radiation-pressure transfer)."""
     if photon_number < 0 or g_lin <= 0:
         raise DomainError("photon_number >= 0 and g_lin > 0 required")
-    return math.sqrt(2.0) * g_lin * photon_number \
-        * float(np.trapezoid(modes.alpha0**2, modes.t_axis))
+    return math.sqrt(2.0) * g_lin * photon_number * modes.norms_squared()[0]
 
 
 def modes_to_csv(pulse: PulseEnvelope, modes: ModeFunctions, path) -> None:

@@ -57,7 +57,6 @@ UNUSED_ALLOWED = {
         "the oracle of the Lorentzian time-domain envelope",
     "params.DerivedParams.g_sq": "written to params.json through asdict",
     "params.DerivedParams.omega_sq": "written to params.json through asdict",
-    "pulse.PulseEnvelope.rescale_factor": "ROADMAP item 5 reports it",
     "verification.CheckResult.description":
         "written to verify.json through asdict",
     "verification.CheckResult.detail":

@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.integrate import quad
 
 from optomech import params as pm
@@ -52,11 +53,38 @@ def test_optimal_spectrum_dc_value():
         math.sqrt(8.0 / (3.0 * math.pi * 2.0)), rel=1e-12)
 
 
+def _hurwitz_zeta_d2(a, n=1000):
+    """d^2/ds^2 zeta(s, a) at s = 0: the sum of ln^2(k + a) over k < n plus
+    the Euler-Maclaurin tail of the rest (error O(ln^2 n / n^3))."""
+    x = n + a
+    lx = math.log(x)
+    return float(np.sum(np.log(np.arange(n) + a) ** 2)) \
+        - x * (lx * lx - 2.0 * lx + 2.0) + 0.5 * lx * lx - lx / (6.0 * x)
+
+
 def test_envelopes_unit_norm(optimal_modes, lorentzian_modes):
-    for env, _ in (optimal_modes, lorentzian_modes):
-        assert np.trapezoid(env.samples**2, env.t_axis) == pytest.approx(
-            1.0, abs=1e-9)
-        assert abs(env.rescale_factor - 1.0) < 1e-3  # truncation only
+    env = optimal_modes[0]
+    assert np.trapezoid(env.samples**2, env.t_axis) == pytest.approx(
+        1.0, abs=1e-9)
+    # the Lorentzian closed form has unit norm; its trapezoid sum misses the
+    # K_0 log spike.  Near t = 0, alpha^2 = c L^2 with c = 2 kappa / pi^2 and
+    # L = -ln(kappa |t| / 2) - gamma; with the nearest nodes at phi dt and
+    # (1 - phi) dt from the spike, the generalized Euler-Maclaurin (Navot)
+    # expansion of the offset sums over ln^2 t, ln t and 1 gives the deficit
+    #   c dt [ -Z2 - 2 (ln(kappa dt) - ln 2 + gamma) ln(2 sin(pi phi)) ],
+    # Z2 = zeta''(0, phi) + zeta''(0, 1 - phi), to O((kappa dt)^3 ln^2)
+    env = lorentzian_modes[0]
+    c = 2.0 * KAPPA / math.pi**2
+    exact, _ = quad(lambda t: 2.0 * c * special.k0(KAPPA * t) ** 2,
+                    0.0, np.inf, limit=200)
+    assert exact == pytest.approx(1.0, abs=1e-10)
+    phi = env.t_axis[env.t_axis > 0][0] / env.dt
+    z2 = _hurwitz_zeta_d2(phi) + _hurwitz_zeta_d2(1.0 - phi)
+    beta = math.log(2.0) - np.euler_gamma
+    derived = -c * env.dt * (z2 + 2.0 * (math.log(KAPPA * env.dt) - beta)
+                             * math.log(2.0 * math.sin(math.pi * phi)))
+    deficit = 1.0 - np.trapezoid(env.samples**2, env.t_axis)
+    assert 0.0 < deficit == pytest.approx(derived, rel=1e-4)
 
 
 def test_optimal_envelope_even_in_time():
@@ -80,7 +108,8 @@ def test_envelope_transform_matches_spectrum_amplitude(envelope, amplitude,
     # the stated amplitude spectra are the oracles of the time-domain
     # envelopes: (2 pi)^(-1/2) int alpha(t) exp(-i omega t) dt, by
     # trapezoid on the envelope's own grid; measured max |diff| is 8.4e-6
-    # (optimal) and 1.1e-4 (Lorentzian, whose log spike at t = 0 is clipped)
+    # (optimal) and 1.6e-5 (Lorentzian, whose log spike at t = 0 falls
+    # between nodes and aliases onto the band)
     env = envelope(KAPPA)
     omega = np.linspace(-6.0, 6.0, 49)
     transform = np.array([
@@ -128,13 +157,6 @@ def test_cascade_gain_bounds(optimal_modes, lorentzian_modes):
         assert m0 <= math.sqrt(2.0 / KAPPA) * m_in * (1 + 1e-9)
         assert m1 <= math.sqrt(2.0) * m0 * (1 + 1e-9)
         assert m2 <= math.sqrt(2.0) * m1 * (1 + 1e-9)
-
-
-def test_matched_envelope_norm_round_trip(optimal_modes):
-    # frequency-side unit norm carries to the time samples to better than
-    # 1e-6 (the final rescale only absorbs grid truncation)
-    env, _ = optimal_modes
-    assert abs(env.rescale_factor - 1.0) < 1e-6
 
 
 def test_numeric_strength_hits_closed_form(optimal_modes):
@@ -228,12 +250,40 @@ def test_constant_drive_steady_state():
                          - math.sqrt(2.0 / KAPPA) * level)) < 1e-6
 
 
-def test_coarse_grid_is_subdivided_internally():
+def test_coarse_grid_cascade_norm():
     t_axis = np.linspace(-12.0, 25.0, 4097)  # dt ~ 9e-3/kappa
     env = P.optimal_square_spectrum(KAPPA, t_axis)
     modes = P.cascade_integrate(env, KAPPA)
     n0 = modes.norms_squared()[0]
     assert n0 == pytest.approx(5.0 / 3.0, rel=5e-3)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 4])
+def test_random_envelope_matches_dense_cosine_sum(seed):
+    # reference: the same draws, the same 2049-node area and concentration,
+    # and the inverse transform as a dense sum of cosines on those nodes
+    # (every 7th time point, t = 0 among them)
+    env = P.random_smooth_envelope(KAPPA, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    n_bumps = int(rng.integers(2, 6))
+    centers = rng.uniform(-1.5 * KAPPA, 1.5 * KAPPA, n_bumps)
+    widths = rng.uniform(0.6 * KAPPA, 1.2 * KAPPA, n_bumps)
+    amps = rng.uniform(0.2, 1.0, n_bumps)
+    omega = np.linspace(-12.0 * KAPPA, 12.0 * KAPPA, 2049)
+    dw = omega[1] - omega[0]
+    f = np.zeros_like(omega)
+    for c, width, a in zip(centers, widths, amps):
+        f += a * (np.exp(-0.5 * ((omega - c) / width) ** 2)
+                  + np.exp(-0.5 * ((omega + c) / width) ** 2))
+    f /= np.sum(f) * dw
+    s = (P.MATCHED_SPECTRAL_CONCENTRATION / KAPPA) / (np.sum(f**2) * dw)
+    t = env.t_axis[::7]
+    dense = np.cos(np.outer(t, omega / s)) @ np.sqrt(s * f) \
+        * (dw / s) / math.sqrt(2.0 * math.pi)
+    peak = np.max(np.abs(env.samples))
+    assert np.max(np.abs(env.samples[::7] - dense)) < 1e-12 * peak
+    assert np.trapezoid(env.samples**2, env.t_axis) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_random_envelopes_never_beat_matched_spectrum(rng):
