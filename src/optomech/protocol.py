@@ -17,10 +17,10 @@ homodyning with strength chi_p: outcomes q = chi_p x + N(0, 1/2), i.e.
 scaled samples carry a Gaussian blur of variance 1/(2 chi_p^2) which is
 reported, not deconvolved.  Every angle's marginal is 2 Re sum_k
 e^{-i theta k} A_k, A_k(x) = sum_m phi_{m+k}(x) phi_m(x) rho_{m+k,m} (A_0
-halved), from one Fock projection; per angle, uniforms then noise are drawn
-and the inverse CDF is read at the sorted uniforms, each noise value kept
-with its uniform.  Reconstruction is filtered back-projection with a ramp
-filter rolled off by a cosine at the grid Nyquist.
+halved), from one Fock projection.  Node j's mass is uniform on its cell
+[x_j - dx/2, x_j + dx/2] before the blur, so bin probabilities p are closed
+form and counts one multinomial draw over p (noiseless: their mean N p).
+Filtered back-projection's ramp is rolled off by a cosine at the Nyquist.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import ndtr
 
 from .errors import ConditioningError, DomainError, GridError, \
     ReconstructionWarning
@@ -243,18 +244,13 @@ def run_protocol(config: ProtocolConfig,
 # tomography
 # ---------------------------------------------------------------------------
 
-def _ramp_filtered(projection: np.ndarray, ds: float) -> np.ndarray:
-    """(1/2pi) integral |k| g^(k) e^{iks} dk on the sample grid, with a
-    cosine rolloff at the Nyquist frequency to tame sampling noise."""
-    n = projection.size
-    pad = n // 2
-    g = np.zeros(2 * n)
-    g[pad:pad + n] = projection
-    k = 2.0 * np.pi * np.fft.fftfreq(2 * n, d=ds)
-    k_nyq = np.pi / ds
-    filt = np.abs(k) * np.cos(0.5 * np.pi * np.abs(k) / k_nyq)
-    q = np.real(np.fft.ifft(np.fft.fft(g) * filt))
-    return q[pad:pad + n]
+def _ramp_filtered(projections: np.ndarray, ds: float) -> np.ndarray:
+    """(1/2pi) integral |k| g^(k) e^{iks} dk along the last axis (zero-padded
+    to twice its length), rolled off by cos(k ds / 2) to 0 at the Nyquist."""
+    n = projections.shape[-1]
+    k = 2.0 * np.pi * np.fft.rfftfreq(2 * n, d=ds)
+    return np.fft.irfft(np.fft.rfft(projections, 2 * n) * k
+                        * np.cos(0.5 * ds * k), 2 * n)[..., :n]
 
 
 def _rotated_marginals(rho_f: np.ndarray, phi: np.ndarray,
@@ -273,26 +269,42 @@ def _rotated_marginals(rho_f: np.ndarray, phi: np.ndarray,
         2 * dim, -1)
 
 
+def _bin_probabilities(marginals: np.ndarray, dx: float,
+                       blur_sd: float) -> np.ndarray:
+    """Detector-bin probabilities of the cell-centred law, one row per angle:
+    bin b takes kappa(k), k = R b - j, R = _RECON_STRIDE, of cell j's mass,
+    G(k+R/2+1/2) - G(k+R/2-1/2) - G(k-R/2+1/2) + G(k-R/2-1/2) with G(h) =
+    H(h a) / a, a = dx / blur_sd, H(t) = t Phi(t) + phi(t) = max(t, 0) +
+    H(-|t|): the blur-free overlap clip(R/2 + 1/2 - |k|, 0, 1) plus Gaussian
+    tails H(-|h| a) / a, so nothing large cancels."""
+    n = marginals.shape[1]
+    r = 0.5 * _RECON_STRIDE
+    k = np.arange(1 - n, n)
+    t = np.abs(k[:, None] + [r + .5, r - .5, .5 - r, -.5 - r]) * dx / blur_sd
+    tails = np.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi) - t * ndtr(-t)
+    kappa = np.maximum(np.clip(r + 0.5 - np.abs(k), 0.0, 1.0) + tails @ [
+        1.0, -1.0, -1.0, 1.0] * (blur_sd / dx), 0.0)
+    return marginals / marginals.sum(axis=1, keepdims=True) @ kappa[
+        np.arange(n - 1, 2 * n - 1, _RECON_STRIDE) - np.arange(n)[:, None]]
+
+
 def tomography(state: DensityMatrixGrid, angles, chi_p: float,
                samples_per_angle: int, rng: np.random.Generator,
                fock_dim: int = DEFAULT_FOCK_DIM):
     """Reconstruct the Wigner function from rotated-quadrature homodyne data.
 
-    At each angle the freely evolved state's position marginal (from one
-    Fock projection, as the module docstring gives it, then sampled in
-    sorted order) goes through the phase-quadrature readout (Gaussian shot
-    noise of variance 1/2 on chi_p x, so outcomes x + N(0, 1/(2 chi_p^2))),
-    and filtered back-projection over the angle set yields W on a square
-    detector grid (every 4th point of the state grid), whose Nyquist
-    frequency is where the ramp filter's cosine rolloff ends.
-    samples_per_angle = 0 switches to the noiseless limit, the exact
-    marginal convolved with the shot-noise blur, and leaves rng unread.
+    Each angle's marginal (one Fock projection) passes the phase-quadrature
+    readout, x + N(0, 1/(2 chi_p^2)), into bins on every 4th grid point,
+    with the cell-centred law's closed-form bin probabilities p, whose mean
+    is the grid marginal's.  One multinomial draw gives every angle's counts
+    (samples_per_angle = 0: their mean N p, the noiseless limit, with rng
+    unread), and filtered back-projection yields W on the detector grid.
 
-    Returns (WignerGrid, report).  The report carries the blur variance
-    (not deconvolved), the raw back-projection integral before the final
-    renormalization, the normalized cross-correlation against the true
-    Wigner function of the input state, and min_w and negative_volume, both
-    with the back-projection streak floor (ground state: -0.010 and 0.28).
+    Returns (WignerGrid, report): blur_variance (not deconvolved),
+    clipped_mass (the largest per-angle mass outside the detector), the raw
+    back-projection integral before renormalization, the correlation with
+    the input's true W, and min_w and negative_volume, both with the
+    back-projection streak floor (ground state: -0.010 and 0.28).
     """
     if not (math.isfinite(chi_p) and chi_p > 0):
         raise DomainError("chi_p must be finite and positive")
@@ -312,31 +324,17 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
                                            hermite_functions(xs, fock_dim),
                                            angles), 0.0, None)
 
-    exact = samples_per_angle == 0
-    sigma = math.sqrt(blur_var) / dx  # noiseless blur, in grid cells
-    radius = int(8.0 * sigma + 0.5) if exact else 0  # 8-sigma window
-    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1) / sigma) ** 2)
-    kernel /= kernel.sum()
-    edges = np.concatenate([s_axis - 0.5 * ds, [s_axis[-1] + 0.5 * ds]])
-    x_mesh, p_mesh = np.meshgrid(s_axis, s_axis, indexing="ij")
-    recon = np.zeros_like(x_mesh)
-    for theta, marginal in zip(angles, marginals):
-        if exact:
-            blurred = np.convolve(marginal, kernel)[radius:radius + xs.size]
-            counts, _ = np.histogram(xs, bins=edges, weights=blurred * dx)
-            g = counts / ds
-        else:
-            u = rng.uniform(size=samples_per_angle)
-            noise = rng.normal(0.0, math.sqrt(blur_var),
-                               size=samples_per_angle)
-            order = np.argsort(u)  # sorted lookups; the same sample multiset
-            data = np.interp(u[order], np.cumsum(marginal) / marginal.sum(),
-                             xs) + noise[order]
-            counts, _ = np.histogram(data, bins=edges)
-            g = counts / (samples_per_angle * ds)
-        s_req = x_mesh * math.cos(theta) + p_mesh * math.sin(theta)
-        recon += np.interp(s_req.ravel(), s_axis, _ramp_filtered(g, ds),
-                           left=0.0, right=0.0).reshape(s_req.shape)
+    probs = _bin_probabilities(marginals, dx, math.sqrt(blur_var))
+    outside = np.clip(1.0 - probs.sum(axis=1), 0.0, None)
+    if samples_per_angle:
+        # rounding can lift sum(p) over 1, by at most ~n eps: renormalise
+        pvals = np.column_stack([probs, outside])
+        probs = rng.multinomial(samples_per_angle, pvals / pvals.sum(
+            axis=1, keepdims=True))[:, :-1] / samples_per_angle
+    recon = sum(np.interp(np.add.outer(s_axis * math.cos(theta),
+                                       s_axis * math.sin(theta)),
+                          s_axis, q, left=0.0, right=0.0)
+                for theta, q in zip(angles, _ramp_filtered(probs / ds, ds)))
     recon /= 2.0 * angles.size
 
     raw_integral = float(np.sum(recon) * ds * ds)
@@ -354,9 +352,10 @@ def tomography(state: DensityMatrixGrid, angles, chi_p: float,
     w_min, w_vol = negativity(wg)
     report = {
         "n_angles": int(angles.size),
-        "samples_per_angle": 0 if exact else int(samples_per_angle),
+        "samples_per_angle": int(samples_per_angle),
         "chi_p": chi_p,
         "blur_variance": blur_var,
+        "clipped_mass": float(outside.max()),
         "raw_integral": raw_integral,
         "correlation": corr,
         "min_w": w_min,

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import ndtr
 
 from optomech import measurement as M
 from optomech import protocol as PR
@@ -333,13 +335,38 @@ def test_rotated_marginals_match_fock_round_trip(grid, ground, squeezed,
         assert np.max(np.abs(marginal - ref)) <= 1e-14 * np.max(ref)
 
 
-def reference_tomography_w(state, angles, chi_p, samples, rng, dim):
-    """Sampled tomography's W by the per-angle loop it replaced: one Fock
-    round trip per angle, then unsorted inverse-CDF lookups."""
+CHI_P = 10.0
+BLUR_SD = 1.0 / (math.sqrt(2.0) * CHI_P)
+
+
+def fig2b_state(ground):
+    return M.condition_window(ground, 1.0, 0.0, window())[0]
+
+
+def clipped_marginals(state, angles, dim=128):
+    fock = states.grid_to_fock(state, dim)
+    return np.clip(PR._rotated_marginals(
+        fock.rho, states.hermite_functions(state.grid.xs, dim), angles),
+        0.0, None)
+
+
+def detector_axis(grid):
+    s_axis = grid.xs[::4]
+    return s_axis, float(s_axis[1] - s_axis[0])
+
+
+def reference_noiseless_recon(state, angles, dim, panels):
+    """Noiseless tomography's unnormalised back-projection by a per-angle
+    loop: one Fock round trip per angle, and each bin's probability by
+    composite Simpson quadrature (`panels` intervals a bin) of the
+    cell-averaged, blurred density sum_j w_j [Phi((y - x_j + dx/2) / sd) -
+    Phi((y - x_j - dx/2) / sd)] / dx."""
     xs, dx = state.grid.xs, state.grid.dx
-    s_axis = xs[::4]
-    ds = float(s_axis[1] - s_axis[0])
-    edges = np.concatenate([s_axis - 0.5 * ds, [s_axis[-1] + 0.5 * ds]])
+    s_axis, ds = detector_axis(state.grid)
+    h = ds / panels
+    ys = s_axis[0] - 0.5 * ds + h * np.arange(panels * s_axis.size + 1)
+    cells = (ndtr((ys[:, None] - xs + 0.5 * dx) / BLUR_SD)
+             - ndtr((ys[:, None] - xs - 0.5 * dx) / BLUR_SD)) / dx
     fock = states.grid_to_fock(state, dim)
     x_mesh, p_mesh = np.meshgrid(s_axis, s_axis, indexing="ij")
     recon = np.zeros_like(x_mesh)
@@ -347,24 +374,119 @@ def reference_tomography_w(state, angles, chi_p, samples, rng, dim):
         rotated = states.fock_to_grid(PR.free_evolve(fock, float(theta)),
                                       state.grid)
         marginal = np.clip(rotated.diagonal(), 0.0, None)
-        pos = np.interp(rng.uniform(size=samples),
-                        np.cumsum(marginal) / marginal.sum(), xs)
-        data = pos + rng.normal(0.0, math.sqrt(1.0 / (2.0 * chi_p**2)),
-                                size=samples)
-        counts, _ = np.histogram(data, bins=edges)
-        q = PR._ramp_filtered(counts / (samples * ds), ds)
+        f = cells @ (marginal / marginal.sum())
+        per_bin = f[:-1].reshape(s_axis.size, panels)
+        probs = h / 3.0 * (per_bin[:, 0] + 4.0 * per_bin[:, 1::2].sum(axis=1)
+                           + 2.0 * per_bin[:, 2::2].sum(axis=1)
+                           + f[panels::panels])
+        q = PR._ramp_filtered(probs / ds, ds)
         s_req = x_mesh * math.cos(theta) + p_mesh * math.sin(theta)
         recon += np.interp(s_req.ravel(), s_axis, q, left=0.0,
                            right=0.0).reshape(s_req.shape)
-    recon /= 2.0 * len(angles)
-    return recon / float(np.sum(recon) * ds * ds)
+    return recon / (2.0 * len(angles))
 
 
-def test_sampled_tomography_matches_per_angle_reference(ground):
-    conditioned, _ = M.condition_window(ground, 1.0, 0.0, window())
+def ramp_gain(n, ds):
+    """sum_{|d| < n} |h_d| for the ramp filter's impulse response h: the
+    largest factor by which _ramp_filtered can grow a max-norm error."""
+    impulses = np.zeros((2, n))
+    impulses[0, 0] = impulses[1, -1] = 1.0
+    h = PR._ramp_filtered(impulses, ds)  # h_0..h_{n-1}, h_{1-n}..h_0
+    return float(np.sum(np.abs(h)) - abs(h[0, 0]))
+
+
+def test_noiseless_tomography_matches_per_angle_quadrature(ground):
+    state = fig2b_state(ground)
+    grid = state.grid
     angles = sorted(ODD_ANGLES + [0.8, 2.2])
-    wigner, _ = PR.tomography(conditioned, angles, 10.0, 20_000,
-                              np.random.default_rng(11), fock_dim=128)
-    ref = reference_tomography_w(conditioned, angles, 10.0, 20_000,
-                                 np.random.default_rng(11), 128)
-    assert np.array_equal(wigner.w, ref)
+    s_axis, ds = detector_axis(grid)
+    panels = 32
+    wigner, report = PR.tomography(state, angles, CHI_P, 0, None,
+                                   fock_dim=128)
+    ref = reference_noiseless_recon(state, angles, 128, panels)
+    # Derived bound on max |p - p_ref| per bin.  Composite Simpson errs by at
+    # most ds (ds/panels)^4 max|f''''| / 180 on a bin; each cell's density
+    # has |f''''| <= 2 max|phi'''| / (sd^4 dx), and the weights sum to 1.
+    # max|phi'''| = |3t - t^3| phi(t) at t^2 = 3 - sqrt(6).  The two
+    # marginal routes agree to 1e-14 of the peak, and each p sums n terms,
+    # so both add under 1e-12.
+    t = math.sqrt(3.0 - math.sqrt(6.0))
+    phi3 = (3.0 * t - t**3) * math.exp(-0.5 * t * t) / math.sqrt(2 * math.pi)
+    eps_p = (ds * (ds / panels) ** 4 / 180.0
+             * 2.0 * phi3 / (BLUR_SD**4 * grid.dx) + 1e-12)
+    # g = p / ds; the ramp filter grows a max-norm error by at most
+    # ramp_gain, and back-projection averages with weights summing to 1/2
+    bound = 0.5 * ramp_gain(s_axis.size, ds) * eps_p / ds
+    assert bound < 1e-4 * np.max(ref)  # fine enough to see dx/2 shifts
+    recon = wigner.w * report["raw_integral"]
+    assert np.max(np.abs(recon - ref)) <= bound
+
+
+def test_bin_probabilities_pass_chi_square_against_per_sample_draws(ground):
+    # one angle's closed-form p against 1e6 events of the same law: the
+    # cell from the marginal, uniform within the cell, Gaussian noise
+    grid = ground.grid
+    xs, dx = grid.xs, grid.dx
+    s_axis, ds = detector_axis(grid)
+    marginal = clipped_marginals(fig2b_state(ground), [0.37])
+    probs = PR._bin_probabilities(marginal, dx, BLUR_SD)[0]
+    rng = np.random.default_rng(2718)
+    n_events = 1_000_000
+    cell = rng.choice(xs.size, size=n_events, p=marginal[0] / marginal.sum())
+    events = (xs[cell] + dx * (rng.uniform(size=n_events) - 0.5)
+              + rng.normal(0.0, BLUR_SD, size=n_events))
+    edges = np.append(s_axis - 0.5 * ds, s_axis[-1] + 0.5 * ds)
+    observed = np.histogram(events, bins=edges)[0]
+    observed = np.append(observed, n_events - observed.sum())
+    expected = n_events * np.append(probs, max(1.0 - probs.sum(), 0.0))
+    small = expected < 5.0  # pooled into one category
+    observed = np.append(observed[~small], observed[small].sum())
+    expected = np.append(expected[~small], expected[small].sum())
+    chi2 = float(np.sum((observed - expected) ** 2 / expected))
+    assert stats.chi2.sf(chi2, observed.size - 1) > 1e-3
+
+
+def test_sampled_tomography_mean_approaches_noiseless(ground):
+    # The unnormalised back-projection (W times raw_integral) is linear in
+    # the counts, so over K seeds its mean is the noiseless one plus noise
+    # whose variance follows from the multinomial covariance of the counts.
+    state = fig2b_state(ground)
+    grid = state.grid
+    angles = sorted(ODD_ANGLES + [0.8, 2.2])
+    s_axis, ds = detector_axis(grid)
+    n_events, seeds = 100_000, 16
+    exact_w, exact = PR.tomography(state, angles, CHI_P, 0, None)
+    exact_recon = exact_w.w * exact["raw_integral"]
+    mean = np.zeros_like(exact_recon)
+    for seed in range(seeds):
+        w, report = PR.tomography(state, angles, CHI_P, n_events,
+                                  np.random.default_rng(seed))
+        mean += w.w * report["raw_integral"] / seeds
+    probs = PR._bin_probabilities(clipped_marginals(state, angles),
+                                  grid.dx, BLUR_SD)
+    ramp = PR._ramp_filtered(np.eye(s_axis.size), ds)  # row b: bin b's q
+    variance = np.zeros(exact_recon.size)
+    for theta, p in zip(angles, probs):
+        s_req = np.add.outer(s_axis * math.cos(theta),
+                             s_axis * math.sin(theta)).ravel()
+        # each pixel's response to one event in bin b, per bin
+        gain = np.column_stack([
+            np.interp(s_req, s_axis, q, left=0.0, right=0.0) for q in ramp]
+        ) / (n_events * ds * 2.0 * len(angles))
+        variance += n_events * (gain**2 @ p - (gain @ p) ** 2)
+    bound = 5.0 * np.sqrt(variance.reshape(mean.shape) / seeds) + 1e-12
+    assert np.max(bound) < 0.05 * np.max(exact_recon)
+    assert np.all(np.abs(mean - exact_recon) <= bound)
+
+
+def test_bin_probabilities_keep_the_grid_mean(grid):
+    # the cell-centred law has no half-cell shift: the binned mean is the
+    # grid marginal's mean
+    displaced = states.make_gaussian(grid, states.GaussianSpec(
+        "ground", mean_x=1.0, mean_p=-0.7))
+    marginals = clipped_marginals(displaced, ODD_ANGLES)
+    probs = PR._bin_probabilities(marginals, grid.dx, BLUR_SD)
+    s_axis, _ = detector_axis(grid)
+    binned = probs @ s_axis / probs.sum(axis=1)
+    on_grid = marginals @ grid.xs / marginals.sum(axis=1)
+    assert np.max(np.abs(binned - on_grid)) <= 1e-9 * grid.dx
