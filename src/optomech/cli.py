@@ -32,7 +32,7 @@ from . import pulse as pl
 from . import states as st
 from . import verification as vf
 from . import wigner as wg
-from .errors import OptomechError
+from .errors import ConditioningError, OptomechError
 
 
 class ConfigError(Exception):
@@ -55,9 +55,12 @@ def _load_config(path) -> dict:
 
 
 def _parsed(where: str, build, *args, **kwargs):
-    """build(*args, **kwargs); a package error becomes a ConfigError."""
+    """build(*args, **kwargs); a package error becomes a ConfigError, except a
+    ConditioningError, which valid inputs can meet (a negligible window)."""
     try:
         return build(*args, **kwargs)
+    except ConditioningError:
+        raise
     except OptomechError as exc:
         raise ConfigError(f"{where}: {exc}")
 
@@ -158,7 +161,8 @@ def cmd_measure(cfg: dict, out: Path) -> int:
            "outcome_variance": dist.central_moment(2), "window": None,
            "window_probability": None}
     if window is not None:
-        conditioned, prob = ms.condition_window(state, chi, omega, window)
+        conditioned, prob = _parsed("config", ms.condition_window, state,
+                                    chi, omega, window)
         st.state_to_npz(conditioned, out / "conditioned.npz")
         doc["window"] = {"center": window.center, "width": window.width}
         doc["window_probability"] = prob
@@ -185,9 +189,10 @@ def cmd_wigner(cfg: dict, out: Path) -> int:
             raise ConfigError(f"config.{name} is required in mode {mode}")
     state = st.make_gaussian(cfg["grid"], cfg["state"])
     if mode == "conditioned":
-        state, _ = ms.condition_window(state, chi, omega, cfg["window"])
+        state, _ = _parsed("config", ms.condition_window, state, chi, omega,
+                           cfg["window"])
     elif mode == "unconditional":
-        state = ms.uncondition(state, chi, omega)
+        state = _parsed("config", ms.uncondition, state, chi, omega)
     w = wg.wigner_transform(state)
     wg.wigner_to_csv(w, out / f"wigner_{label}.csv")
     _write(out, f"wigner_{label}.json", wg.wigner_sidecar_json(w, label) + "\n")
@@ -246,7 +251,7 @@ def cmd_protocol(cfg: dict, out: Path) -> int:
         initial=cfg["initial"], chi=cfg["chi"], window=cfg["window"],
         n_runs=cfg["n_runs"], seed=cfg["seed"],
         omega_kick=cfg["omega_kick"], two_pulse=cfg["two_pulse"])
-    summary = pr.run_protocol(config, grid=cfg["grid"])
+    summary = _parsed("config", pr.run_protocol, config, grid=cfg["grid"])
 
     w = w_min = w_vol = tomo_wigner = tomo_report = None
     if summary.mean_state is not None:

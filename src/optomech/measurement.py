@@ -10,16 +10,14 @@ with measurement strength chi, momentum kick w and offset outcome q
 (positive q selects |x| near sqrt(q/chi)).  The dispersive scheme enters
 only through its measurement strength (`params.dispersive_strengths`).
 
-Because U is a function of position only, it acts on a grid density matrix
-by elementwise row/column scaling.  The outcome density smooths the position
-diagonal by a Gaussian in q - chi x^2: it folds the diagonal onto x > 0 and
-evaluates only the band |q - chi x^2| <= 9.  Windowed conditioning
-integrates the Gaussian outcome factor over the window in closed form (an
-error-function difference); slow quadrature versions of the windowed and
-unconditional maps are kept alongside as independent oracles.  The
-closed-form kernels depend on x only through x^2, so one builder evaluates
-them on the x >= 0 quadrant and mirrors it into the other three; the kick
-phase e^{i w (x - x')} is odd in x and stays a separate factor.
+Because U is a function of position only, every map here is
+rho o K o e^{i w (x - x')} with a real kernel K, even in x and in x' since
+|U| depends on x only through chi x^2.  One builder, _even_map, checks chi
+and w, makes the kick phase and mirrors K from its x, x' > 0 quadrant; each
+map supplies only that quadrant.  Windowed conditioning integrates the
+outcome Gaussian over the window in closed form (an error-function
+difference); slow quadrature versions of the windowed and unconditional
+maps, summed over the Kraus moduli, are kept alongside as oracles.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConditioningError, DomainError, RangeError
+from .errors import ConditioningError, DomainError, GridError, RangeError
 from .states import DensityMatrixGrid, QuadratureGrid
 
 __all__ = [
@@ -105,11 +103,11 @@ def _flushed(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _envelopes(xs: np.ndarray, chi: float, outcomes):
-    """Moduli |U(x; q)| of the linear-scheme Kraus diagonals: shape (n,) for
-    one outcome, (m, n) for an array of m outcomes."""
+def _envelopes(sq: np.ndarray, outcomes):
+    """Moduli |U(x; q)| of the linear-scheme Kraus diagonals at sq = chi x^2:
+    shape (n,) for one outcome, (m, n) for an array of m outcomes."""
     q = np.asarray(outcomes, dtype=float)[..., None]
-    return np.pi ** (-0.25) * np.exp(-0.5 * (q - chi * xs**2) ** 2)
+    return np.pi ** (-0.25) * np.exp(-0.5 * (q - sq) ** 2)
 
 
 def _gram(env: np.ndarray) -> np.ndarray:
@@ -119,16 +117,22 @@ def _gram(env: np.ndarray) -> np.ndarray:
     return env.T @ env
 
 
-def _kick_phase(phase: np.ndarray) -> np.ndarray:
-    """Outer product phase (x) phase*: the kick factor e^{i w (x - x')}."""
-    return phase[:, None] * np.conj(phase)[None, :]
+def _kick(grid: QuadratureGrid, chi: float, omega_kick: float) -> np.ndarray:
+    """e^{i w x} on the grid once chi is finite and >= 0 and |w| <= pi/dx,
+    the momentum Nyquist beyond which the kick aliases (NaN fails both)."""
+    if not 0.0 <= chi < np.inf:
+        raise DomainError(f"chi must be finite and non-negative, got {chi!r}")
+    if not abs(omega_kick) * grid.dx <= np.pi:
+        raise GridError(f"omega_kick {omega_kick!r} exceeds the grid momentum "
+                        f"Nyquist pi/dx = {np.pi / grid.dx:.2f}")
+    return np.exp(1j * omega_kick * grid.xs)
 
 
 def linear_kraus_diagonal(grid: QuadratureGrid,
                           meas: LinearPulseMeasurement) -> np.ndarray:
     """Position representation of the linear-scheme measurement operator."""
-    return (np.exp(1j * meas.omega_kick * grid.xs)
-            * _envelopes(grid.xs, meas.chi, meas.outcome))
+    return (_kick(grid, meas.chi, meas.omega_kick)
+            * _envelopes(meas.chi * grid.xs**2, meas.outcome))
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +208,14 @@ def outcome_pdf(state: DensityMatrixGrid, chi: float,
                 n_outcomes: int = DEFAULT_N_OUTCOMES) -> OutcomeDistribution:
     """Homodyne outcome density P(q) = integral dx rho(x,x) |U(x; q)|^2.
 
-    The density is independent of the kick (the phase cancels in U^dag U).
-    It is outcome_kernel of the diagonal, folded onto x > 0 and banded to
-    |q - chi x^2| <= 9, so no n_outcomes x n matrix is built.  The outcome
-    range [-6, chi x_max^2 + 6] covers shot noise plus the full
-    deterministic range of chi x^2 on the grid, so its tails are negligible;
-    raises RangeError when n_outcomes is too coarse to resolve a mass within
-    1e-4 of 1 (a coarse grid can lose mass or over-count it).
+    The density is independent of the kick (the phase cancels in U^dag U);
+    it is outcome_kernel of the diagonal, so no n_outcomes x n matrix is
+    built.  The outcome range [-6, chi x_max^2 + 6] covers shot noise plus
+    the full deterministic range of chi x^2 on the grid, so its tails are
+    negligible; raises RangeError when n_outcomes is too coarse to resolve a
+    mass within 1e-4 of 1 (a coarse grid can lose mass or over-count it).
     """
-    if chi < 0:
-        raise DomainError("chi must be non-negative")
+    _kick(state.grid, chi, 0.0)  # the maps' check of chi
     if n_outcomes < 2:
         raise DomainError(f"n_outcomes must be >= 2, got {n_outcomes!r}")
     q_axis = np.linspace(-6.0, chi * state.grid.x_max**2 + 6.0, n_outcomes)
@@ -232,53 +234,49 @@ def outcome_pdf(state: DensityMatrixGrid, chi: float,
 # ---------------------------------------------------------------------------
 
 def _even_map(state: DensityMatrixGrid, chi: float, omega_kick: float,
-              window: OutcomeWindow | None = None) -> np.ndarray:
-    """rho o K o kick phase, as a new matrix, for the closed-form maps.
-
-    The real kernel K is the damping exp(-d^2), times the window integral
-    (erf(hi - m) - erf(lo - m)) / 2 when a window is given (d, m as in
-    condition_window).  It is evaluated on the x, x' > 0 quadrant and
-    applied mirrored to the other three, so x_{n-1-i}^2 is read as x_i^2:
-    xs[::-1] and -xs differ by rounding (up to 7.1e-15 on [-24, 24] with
-    2048 points).
-    """
-    if chi < 0:
-        raise DomainError("chi must be non-negative")
+              quadrant) -> DensityMatrixGrid:
+    """rho o K o e^{i w (x - x')} as a new state, after _kick's checks: every
+    position-diagonal map of the package.  K is real and even in x and in
+    x'; quadrant(sq) returns it on x, x' > 0 from sq = chi x^2 there, and it
+    is mirrored into the other three quadrants, so x_{n-1-i}^2 is read as
+    x_i^2: xs[::-1] and -xs differ by rounding (up to 7.1e-15 on [-24, 24]
+    with 2048 points)."""
+    phase = _kick(state.grid, chi, omega_kick)
     half = state.grid.n_points // 2
-    sq = chi * state.grid.xs[half:] ** 2
-    d = 0.5 * (sq[:, None] - sq[None, :])
-    if window is None:
-        quad = np.exp(-d * d)
-    else:
-        m = 0.5 * (sq[:, None] + sq[None, :])
-        quad = 0.5 * np.exp(-d * d) * (erf(window.hi - m) - erf(window.lo - m))
-    out = _kick_phase(np.exp(1j * omega_kick * state.grid.xs))
+    quad = quadrant(chi * state.grid.xs[half:] ** 2)
+    out = phase[:, None] * np.conj(phase)[None, :]
     neg, pos = slice(None, half), slice(half, None)
     out[pos, pos] *= quad
     out[pos, neg] *= quad[:, ::-1]
     out[neg, pos] *= quad[::-1]
     out[neg, neg] *= quad[::-1, ::-1]
     out *= state.rho
-    return out
+    return DensityMatrixGrid(state.grid, out)
 
 
-def _normalized(state: DensityMatrixGrid, raw: np.ndarray, event: str):
-    """(raw / P, P) with P = Tr raw; negligible or NaN P raises
+def _damping(sq: np.ndarray) -> np.ndarray:
+    """exp(-d^2), d = (sq - sq') / 2: the quadrant of uncondition."""
+    return np.exp(-(0.5 * np.subtract.outer(sq, sq)) ** 2)
+
+
+def _normalized(raw: DensityMatrixGrid, event: str):
+    """(raw / P, P) with P = Tr raw, in place; negligible or NaN P raises
     ConditioningError."""
-    prob = float(np.real(np.trace(raw)) * state.grid.dx)
+    prob = raw.trace()
     if not prob > MIN_EVENT_PROBABILITY:
         raise ConditioningError(
             f"{event} has negligible probability {prob:.3e}")
-    raw /= prob
-    return DensityMatrixGrid(state.grid, raw), prob
+    raw.rho /= prob
+    return raw, prob
 
 
 def condition_exact(state: DensityMatrixGrid,
                     meas: LinearPulseMeasurement) -> DensityMatrixGrid:
-    """Post-measurement state for one recorded outcome: U rho U^dag / P."""
-    u = linear_kraus_diagonal(state.grid, meas)
-    raw = u[:, None] * state.rho * np.conj(u)[None, :]
-    return _normalized(state, raw, f"outcome {meas.outcome}")[0]
+    """Post-measurement state for one recorded outcome: U rho U^dag / P, with
+    the one-row Gram of run_protocol's mean state as its quadrant."""
+    raw = _even_map(state, meas.chi, meas.omega_kick,
+                    lambda sq: _gram(_envelopes(sq, [meas.outcome])))
+    return _normalized(raw, f"outcome {meas.outcome}")[0]
 
 
 def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
@@ -293,26 +291,28 @@ def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
     the two outcome Gaussians U(q) U*(q) is exp(-(q - m)^2 - d^2), so the
     window integral is an erf difference times the damping factor exp(-d^2).
     """
-    raw = _even_map(state, chi, omega_kick, window)
-    return _normalized(state, raw, f"window {window}")
+    def quadrant(sq):
+        m = 0.5 * (sq[:, None] + sq[None, :])
+        return 0.5 * _damping(sq) * (erf(window.hi - m) - erf(window.lo - m))
+
+    raw = _even_map(state, chi, omega_kick, quadrant)
+    return _normalized(raw, f"window {window}")
 
 
-def _simpson_map(state: DensityMatrixGrid, chi: float, omega_kick: float,
-                 lo: float, hi: float, n_q: int) -> np.ndarray:
-    """rho o (K o kick phase) for the oracles: K = sum_k w_k |U(x; q_k)|
-    |U(x'; q_k)| over n_q (odd) Simpson nodes on [lo, hi], in chunks."""
+def _simpson_gram(sq: np.ndarray, lo: float, hi: float,
+                  n_q: int) -> np.ndarray:
+    """The oracles' quadrant: sum_k w_k |U(x; q_k)| |U(x'; q_k)| at
+    sq = chi x^2 over n_q (odd) Simpson nodes on [lo, hi], in chunks."""
     chunk = 512
-    xs = state.grid.xs
     q_nodes = np.linspace(lo, hi, n_q)
-    w = np.ones(n_q)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
+    w = np.where(np.arange(n_q) % 2, 4.0, 2.0)
+    w[[0, -1]] = 1.0
     w = w * (hi - lo) / (n_q - 1) / 3.0
-    kern = np.zeros((xs.size, xs.size))
+    kern = np.zeros((sq.size, sq.size))
     for start in range(0, n_q, chunk):
-        kern += _gram(_envelopes(xs, chi, q_nodes[start:start + chunk])
+        kern += _gram(_envelopes(sq, q_nodes[start:start + chunk])
                       * np.sqrt(w[start:start + chunk])[:, None])
-    return state.rho * (kern * _kick_phase(np.exp(1j * omega_kick * xs)))
+    return kern
 
 
 def condition_window_quadrature(state: DensityMatrixGrid, chi: float,
@@ -321,11 +321,11 @@ def condition_window_quadrature(state: DensityMatrixGrid, chi: float,
 
     The kernel is sum_k w_k U(x; q_k) U*(x'; q_k) over 201 Simpson nodes,
     summed over the Kraus moduli, not the closed-form erf kernel, so the two
-    q integrals stay independent; only the q-independent kick phase
-    e^{i w (x - x')} is shared, as a factor outside the sum.
+    q integrals stay independent; only the kick phase is shared.
     """
-    raw = _simpson_map(state, chi, omega_kick, window.lo, window.hi, 201)
-    return _normalized(state, raw, f"window {window}")
+    raw = _even_map(state, chi, omega_kick, lambda sq: _simpson_gram(
+        sq, window.lo, window.hi, 201))
+    return _normalized(raw, f"window {window}")
 
 
 def uncondition(state: DensityMatrixGrid, chi: float,
@@ -335,7 +335,7 @@ def uncondition(state: DensityMatrixGrid, chi: float,
     rho_out(x, x') = rho(x, x') e^{i w (x - x')} exp(-chi^2 (x^2 - x'^2)^2 / 4);
     the diagonal is untouched, so the trace is preserved exactly.
     """
-    return DensityMatrixGrid(state.grid, _even_map(state, chi, omega_kick))
+    return _even_map(state, chi, omega_kick, _damping)
 
 
 def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
@@ -347,8 +347,9 @@ def uncondition_quadrature(state: DensityMatrixGrid, chi: float,
     The sum runs over the Kraus moduli, not over the closed form's
     exp(-d^2); only the q-independent kick phase is shared.
     """
-    return DensityMatrixGrid(state.grid, _simpson_map(
-        state, chi, omega_kick, -8.5, chi * state.grid.x_max**2 + 8.5, 16001))
+    hi = chi * state.grid.x_max**2 + 8.5
+    return _even_map(state, chi, omega_kick,
+                     lambda sq: _simpson_gram(sq, -8.5, hi, 16001))
 
 
 # ---------------------------------------------------------------------------

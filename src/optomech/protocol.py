@@ -33,11 +33,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConditioningError, DomainError, GridError, \
-    ReconstructionWarning
+from .errors import ConditioningError, DomainError, ReconstructionWarning
 from .measurement import (MIN_EVENT_PROBABILITY, OutcomeDistribution,
-                          OutcomeWindow, _envelopes, _flushed, _gram,
-                          _kick_phase, condition_window, outcome_kernel,
+                          OutcomeWindow, _envelopes, _even_map, _flushed,
+                          _gram, condition_window, outcome_kernel,
                           outcome_pdf)
 from .states import (DEFAULT_FOCK_DIM, DensityMatrixFock, DensityMatrixGrid,
                      GaussianSpec, QuadratureGrid, default_grid, grid_to_fock,
@@ -109,21 +108,16 @@ def free_evolve(state: DensityMatrixFock, theta: float) -> DensityMatrixFock:
     rotation direction is (X, P) -> (X cos + P sin, -X sin + P cos): after a
     quarter period a momentum mean becomes a position mean.
     """
-    return DensityMatrixFock(state.dim, state.rho * _kick_phase(
-        np.exp(-1j * theta * np.arange(state.dim))))
+    phase = np.exp(-1j * theta * np.arange(state.dim))
+    return DensityMatrixFock(state.dim,
+                             state.rho * np.outer(phase, np.conj(phase)))
 
 
 def momentum_kick(state: DensityMatrixGrid, omega: float) -> DensityMatrixGrid:
-    """Displace momentum by omega: rho <- e^{i omega (x - x')} rho.
-
-    The position diagonal is untouched.  Kicks beyond the grid's momentum
-    Nyquist pi/dx would alias and are rejected.
-    """
-    if abs(omega) > np.pi / state.grid.dx:
-        raise GridError(f"kick {omega} exceeds the grid momentum Nyquist "
-                        f"{np.pi / state.grid.dx:.2f}")
-    return DensityMatrixGrid(
-        state.grid, state.rho * _kick_phase(np.exp(1j * omega * state.grid.xs)))
+    """Displace momentum by omega: rho <- e^{i omega (x - x')} rho, K = 1.
+    The diagonal is untouched; kicks beyond the grid's momentum Nyquist pi/dx
+    would alias and raise GridError."""
+    return _even_map(state, 0.0, omega, lambda _: np.ones((1, 1)))
 
 
 def rotate_half_period(state: DensityMatrixGrid) -> DensityMatrixGrid:
@@ -165,37 +159,46 @@ def run_protocol(config: ProtocolConfig,
     tomography of `optomech protocol`.  All maps are diagonal in position:
     run k's state is rho_base o (b_k b_k^dag), b_k = U(q1) / sqrt(p1) on rho0
     (one pulse) or U(q2) U(q1)[::-1] / sqrt(p1 p2) on flipped rho0 (two).
-    Every b_k is phi e_k with one outcome-independent kick phase phi
-    (e^{i w x}, or e^{i w x} e^{i w x}[::-1] for two pulses) and real
-    moduli e_k, so the mean is rho_base o (phi phi^dag) o (E^T E) / n_acc.
-    Per block of runs, one outcome_kernel call on the first-pulse diagonals
-    gives the second-outcome pdfs (folded and banded, with no dense
-    outcome-by-grid matrix) and one real E^T E adds to the mean.  Accepted
-    outcomes of probability <= MIN_EVENT_PROBABILITY raise ConditioningError,
-    as in condition_exact; zero acceptances give an empty-ensemble summary.
+    Every b_k is phi e_k with one outcome-independent kick phase phi and a
+    real modulus e_k, even in x, so the mean is _even_map of rho_base with
+    the quadrant sum of e_k e_k^T / n_acc.  One pulse has phi = e^{i w x};
+    for two, phi = e^{i w x} e^{i w x}[::-1] = 1: the parity flip cancels
+    the kicks.  Per block of runs, the moduli are evaluated on x > 0, one
+    outcome_kernel call on the first-pulse diagonals gives the second-outcome
+    pdfs, and one quadrant Gram adds to the mean.  Accepted outcomes of
+    probability <= MIN_EVENT_PROBABILITY raise ConditioningError, as in
+    condition_exact; zero acceptances give an empty-ensemble summary.
     """
     if grid is None:
         grid = default_grid()
     state0 = make_gaussian(grid, config.initial)
     chi, omega, window = config.chi, config.omega_kick, config.window
+    try:
+        if config.two_pulse:
+            closed_form = two_pulse_prepare(state0, chi, omega, window)[1]
+        else:
+            closed_form = condition_window(state0, chi, omega, window)[1]
+    except ConditioningError:
+        closed_form = 0.0
     dist0 = outcome_pdf(state0, chi)
     diag0 = state0.diagonal()
-    xs, dx = grid.xs, grid.dx
+    half, dx = grid.n_points // 2, grid.dx
+    sq = chi * grid.xs[half:] ** 2
 
     master = np.random.SeedSequence(config.seed)
     blocks = []  # (outcomes, accepted) per block
-    mixture = np.zeros(state0.rho.shape)  # sum of e_k e_k^T, accepted k
+    mixture = np.zeros((half, half))  # sum of e_k e_k^T on x, x' > 0
     for start in range(0, config.n_runs, _BLOCK_RUNS):
         streams = master.spawn(min(_BLOCK_RUNS, config.n_runs - start))
         u = np.array([np.random.Generator(np.random.PCG64(s))
                       .uniform(size=1 + config.two_pulse) for s in streams])
         q = dist0.quantile(u[:, :1])
-        rows = _envelopes(xs, chi, q[:, 0])
-        raw1 = rows**2 * diag0
+        rows = _envelopes(sq, q[:, 0])  # x > 0 halves of even rows
+        raw1 = np.hstack([rows[:, ::-1], rows]) ** 2 * diag0
         probs = raw1.sum(axis=1, keepdims=True) * dx
         if config.two_pulse:
             diag1 = _flushed(raw1[:, ::-1] / probs)  # parity-flipped
-            pdfs = outcome_kernel(dist0.q_axis, xs, chi, diag1) * dx
+            pdfs = outcome_kernel(dist0.q_axis, grid.xs, chi, diag1) * dx
             q2 = [OutcomeDistribution(dist0.q_axis, pdf).quantile(v)
                   for pdf, v in zip(pdfs, u[:, 1])]
             q = np.column_stack([q[:, 0], q2])
@@ -203,10 +206,11 @@ def run_protocol(config: ProtocolConfig,
         blocks.append((q, ok))
         q, probs, b = q[ok], probs[ok], rows[ok]
         if config.two_pulse:
-            rows2 = _envelopes(xs, chi, q[:, 1])
-            p2 = np.sum(rows2**2 * diag1[ok], axis=1) * dx
+            rows2 = _envelopes(sq, q[:, 1])
+            p2 = np.sum(np.hstack([rows2[:, ::-1], rows2]) ** 2 * diag1[ok],
+                        axis=1) * dx
             probs = np.column_stack([probs[:, 0], p2])
-            b = rows2 * b[:, ::-1]
+            b = rows2 * b  # the first modulus is even: flipping leaves it
         bad = np.flatnonzero(probs <= MIN_EVENT_PROBABILITY)  # run by run
         if bad.size:
             raise ConditioningError(f"outcome {q.flat[bad[0]]} has negligible "
@@ -218,21 +222,11 @@ def run_protocol(config: ProtocolConfig,
     rate = n_acc / config.n_runs
     stderr = math.sqrt(max(rate * (1.0 - rate), 0.0) / config.n_runs)
 
-    try:
-        if config.two_pulse:
-            closed_form = two_pulse_prepare(state0, chi, omega, window)[1]
-        else:
-            closed_form = condition_window(state0, chi, omega, window)[1]
-    except ConditioningError:
-        closed_form = 0.0
-
     mean_state = None
-    if n_acc:
-        base, phase = state0.rho, np.exp(1j * omega * xs)
-        if config.two_pulse:
-            base, phase = base[::-1, ::-1], phase * phase[::-1]
-        mean_state = DensityMatrixGrid(
-            grid, base * (mixture * _kick_phase(phase)) / n_acc)
+    if n_acc:  # two pulses: the parity flip cancels the kicks
+        base = rotate_half_period(state0) if config.two_pulse else state0
+        mean_state = _even_map(base, chi, 0.0 if config.two_pulse else omega,
+                               lambda _: mixture / n_acc)
 
     return ProtocolSummary(
         n_runs=config.n_runs, n_accepted=n_acc, acceptance_rate=rate,

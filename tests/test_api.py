@@ -48,6 +48,9 @@ UNUSED_ALLOWED = {
     "states.validate_state":
         "the density-matrix invariant check the property tests run after "
         "every map; its O(n^3) eigvalsh keeps it off every program path",
+    "measurement.linear_kraus_diagonal":
+        "U(x; q) as the paper writes it: the tests' reference for every map "
+        "built from its quadrant, and a BENCHMARK.json row",
     "protocol.free_evolve":
         "free evolution as a Fock map; tomography evaluates the marginals it "
         "needs in closed form, and the tests take it as their reference",

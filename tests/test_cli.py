@@ -275,12 +275,22 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
     ("wigner", {"state": {"kind": "ground"}, "label": "a/b"}, "config.label"),
     ("wigner", {"state": {"kind": "ground"}, "label": "a\u0000b"},
      "config.label"),
+    ("wigner", {"state": {"kind": "ground"}, "mode": "unconditional",
+                "chi": -1.0}, "chi"),
+    # the default grid's momentum Nyquist is pi/dx ~ 100: 1000 would alias
+    ("wigner", {"state": {"kind": "ground"}, "mode": "unconditional",
+                "chi": 1.0, "omega_kick": 1000.0}, "omega_kick"),
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0,
+                 "omega_kick": 1000.0,
+                 "window": {"center": 1.5, "width": 0.8}}, "omega_kick"),
+    ("protocol", {**PROTOCOL, "omega_kick": 1000.0}, "omega_kick"),
 ], ids=["measure_one_outcome", "measure_coarse_outcomes",
         "measure_over_counting_outcomes", "pulse_negative_kappa",
         "tomography_negative_samples", "tomography_negative_chi_p",
         "tomography_zero_angles", "tomography_negative_angles",
         "protocol_negative_seed", "wigner_label_separator",
-        "wigner_label_nul"])
+        "wigner_label_nul", "wigner_negative_chi", "wigner_aliased_kick",
+        "measure_aliased_kick", "protocol_aliased_kick"])
 def test_out_of_range_field_exit_2(tmp_path, capsys, command, cfg, named):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2

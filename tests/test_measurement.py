@@ -16,8 +16,10 @@ import pytest
 from scipy import stats
 
 from optomech import measurement as M
+from optomech import protocol as PR
 from optomech import states
-from optomech.errors import ConditioningError, DomainError, RangeError
+from optomech.errors import ConditioningError, DomainError, GridError, \
+    RangeError
 
 # scipy.quad oracles, computed before implementation
 P_WINDOW_GROUND = 0.148895
@@ -187,6 +189,21 @@ def test_condition_exact_bimodal_and_pure(grid, ground):
 def test_condition_exact_rejects_impossible_outcome(ground):
     with pytest.raises(ConditioningError):
         M.condition_exact(ground, M.LinearPulseMeasurement(1.0, 0.0, 60.0))
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_condition_exact_matches_kraus_definition(n):
+    # an asymmetric state and a kick: the mirrored quadrant must not lean on
+    # any symmetry of rho or of the phase
+    grid = states.QuadratureGrid(-8.0, 8.0, n)
+    state = states.make_gaussian(grid, states.GaussianSpec(
+        "thermal", nbar=0.5, mean_x=0.3, mean_p=-0.4))
+    meas = M.LinearPulseMeasurement(chi=0.7, omega_kick=1.3, outcome=1.5)
+    u = M.linear_kraus_diagonal(grid, meas)
+    raw = u[:, None] * state.rho * np.conj(u)[None, :]
+    ref = raw / (np.real(np.trace(raw)) * grid.dx)
+    got = M.condition_exact(state, meas).rho
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_condition_parity(ground):
@@ -367,3 +384,39 @@ def test_nan_probability_raises(condition, ground):
                                          np.full_like(ground.rho, np.nan))
     with pytest.raises(ConditioningError, match="probability nan"):
         condition(nan_state)
+
+
+WINDOW = M.OutcomeWindow(1.5, 0.8)
+MAPS = {
+    "uncondition": M.uncondition,
+    "uncondition_quadrature": M.uncondition_quadrature,
+    "condition_window": lambda s, chi, w: M.condition_window(s, chi, w,
+                                                             WINDOW),
+    "condition_window_quadrature":
+        lambda s, chi, w: M.condition_window_quadrature(s, chi, w, WINDOW),
+    "condition_exact": lambda s, chi, w: M.condition_exact(
+        s, M.LinearPulseMeasurement(chi, w, 1.5)),
+    "linear_kraus_diagonal": lambda s, chi, w: M.linear_kraus_diagonal(
+        s.grid, M.LinearPulseMeasurement(chi, w, 1.5)),
+    "outcome_pdf": lambda s, chi, w: M.outcome_pdf(s, chi),
+    "momentum_kick": lambda s, chi, w: PR.momentum_kick(s, w),
+}
+# LinearPulseMeasurement refuses a non-finite kick itself, so only a finite
+# kick beyond the Nyquist reaches these two maps' own check
+FINITE_KICK_ONLY = ("condition_exact", "linear_kraus_diagonal")
+
+
+@pytest.mark.parametrize("name, chi, kick, error, field", [
+    *[(name, chi, 0.1, DomainError, "chi")
+      for name in MAPS if name != "momentum_kick"
+      for chi in (math.nan, math.inf, -1.0)],
+    # kicks in units of the grid's momentum Nyquist pi/dx
+    *[(name, 1.0, kick, GridError, "omega_kick")
+      for name in MAPS if name != "outcome_pdf"
+      for kick in ((-1.01,) if name in FINITE_KICK_ONLY
+                   else (math.nan, math.inf, -math.inf, 1.01))]])
+def test_maps_reject_bad_chi_and_kick(ground, name, chi, kick, error, field):
+    # every map shares one check: chi finite and >= 0, |kick| <= pi/dx
+    omega = kick * math.pi / ground.grid.dx
+    with pytest.raises(error, match=field):
+        MAPS[name](ground, chi, omega)
