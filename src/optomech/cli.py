@@ -154,6 +154,7 @@ def cmd_measure(cfg: dict, out: Path) -> int:
                       "n_outcomes": (int, ms.DEFAULT_N_OUTCOMES)})
     state = st.make_gaussian(cfg["grid"], cfg["state"])
     chi, omega, window = cfg["chi"], cfg["omega_kick"], cfg["window"]
+    _parsed("config", ms._kick, state.grid, chi, omega)  # even with no window
     dist = _parsed("config", ms.outcome_pdf, state, chi,
                    n_outcomes=cfg["n_outcomes"])
     ms.pdf_to_csv(dist, out / "pdf.csv")

@@ -66,8 +66,8 @@ class LinearPulseMeasurement:
         for name in ("chi", "omega_kick", "outcome"):
             if not np.isfinite(getattr(self, name)):
                 raise DomainError(f"{name} must be finite, got {self!r}")
-        if self.chi <= 0:
-            raise DomainError(f"chi must be positive, got {self.chi!r}")
+        if self.chi < 0:
+            raise DomainError(f"chi must be non-negative, got {self.chi!r}")
 
 
 @dataclass(frozen=True)
@@ -172,19 +172,14 @@ def outcome_kernel(q_axis: np.ndarray, xs: np.ndarray, chi: float,
 
 
 class OutcomeDistribution:
-    """Sampled outcome density P(q); quantile maps uniform variates to
-    outcomes through the inverse CDF."""
+    """Sampled outcome density P(q) on a uniform outcome axis."""
 
     def __init__(self, q_axis: np.ndarray, pdf: np.ndarray):
         self.q_axis = q_axis
         self.pdf = pdf
         self.dq = float(q_axis[1] - q_axis[0])
-        # trapezoid cumulative (starting at 0) keeps inverse-CDF sampling
-        # free of the half-bin bias a plain running sum would introduce
-        cdf = np.concatenate([[0.0],
-                              np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * self.dq)])
-        self._mass = float(cdf[-1])
-        self._cdf = cdf / self._mass
+        # trapezoid rule, summed in order
+        self._mass = float(np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * self.dq)[-1])
 
     @property
     def mass(self) -> float:
@@ -198,10 +193,6 @@ class OutcomeDistribution:
         mu = self.mean()
         return float(np.sum((self.q_axis - mu) ** k * self.pdf)
                      * self.dq / self._mass)
-
-    def quantile(self, u) -> np.ndarray:
-        """Inverse CDF at uniform variate(s) u."""
-        return np.interp(u, self._cdf, self.q_axis)
 
 
 def outcome_pdf(state: DensityMatrixGrid, chi: float,

@@ -1,11 +1,11 @@
 """Monte-Carlo experiment: prepare, post-select, and reconstruct.
 
-One run of the preparation stage is: sample a homodyne outcome from the true
-outcome density, condition the mechanical state on that exact outcome (the
-window only gates acceptance), and optionally repeat after half a mechanical
-period so the second pulse's momentum kick cancels the first.  The ensemble
-of accepted runs converges to the windowed conditional state, which the
-closed-form window map provides as a cross-check.
+One run of the preparation stage is: draw an outcome chi x^2 + N(0, 1/2) at
+a grid node drawn from the position diagonal, condition the mechanical state
+on that exact outcome (the window only gates acceptance), and optionally
+repeat after half a period so the second pulse's momentum kick cancels.
+The ensemble of accepted runs converges to the windowed conditional state,
+which the closed-form window map provides as a cross-check.
 
 Free harmonic evolution is an ideal phase-space rotation
 (X, P) -> (X cos t + P sin t, -X sin t + P cos t), applied as diagonal
@@ -31,13 +31,11 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from .errors import ConditioningError, DomainError, ReconstructionWarning
-from .measurement import (MIN_EVENT_PROBABILITY, OutcomeDistribution,
-                          OutcomeWindow, _envelopes, _even_map, _flushed,
-                          _gram, condition_window, outcome_kernel,
-                          outcome_pdf)
+from .measurement import (MIN_EVENT_PROBABILITY, OutcomeWindow, _envelopes,
+                          _even_map, _gram, condition_window)
 from .states import (DEFAULT_FOCK_DIM, DensityMatrixFock, DensityMatrixGrid,
                      GaussianSpec, QuadratureGrid, default_grid, grid_to_fock,
                      hermite_functions, make_gaussian)
@@ -76,8 +74,8 @@ class ProtocolConfig:
             raise DomainError("n_runs must be >= 1")
         if self.seed < 0:
             raise DomainError("seed must be >= 0")
-        if not (math.isfinite(self.chi) and self.chi > 0):
-            raise DomainError("chi must be finite and positive")
+        if not (math.isfinite(self.chi) and self.chi >= 0):
+            raise DomainError("chi must be finite and non-negative")
         if not math.isfinite(self.omega_kick):
             raise DomainError("omega_kick must be finite")
 
@@ -149,24 +147,32 @@ def two_pulse_prepare(state: DensityMatrixGrid, chi: float, omega: float,
 # Monte Carlo
 # ---------------------------------------------------------------------------
 
+def _outcomes(sq: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """sq_i + N(0, 1/2) per run from variates u[:, 0], u[:, 1] in [0, 1):
+    node i is the first with cdf_i >= (1 - u0) cdf_-1 (cdf a running sum of
+    weights, per run or shared), of positive weight as 1 - u0 is in (0, 1];
+    the noise is ndtri(u1) / sqrt(2), u1 = 0 read as 2^-54 (not -inf)."""
+    node = np.count_nonzero(cdf < (1.0 - u[:, :1]) * cdf[..., -1:], axis=-1)
+    return sq[node] + ndtri(np.maximum(u[:, 1], 2.0**-54)) * math.sqrt(0.5)
+
+
 def run_protocol(config: ProtocolConfig,
                  grid: QuadratureGrid | None = None) -> ProtocolSummary:
     """Monte-Carlo the preparation stage; return the campaign, without any
     Wigner analysis of its mean state (None if no run is accepted).
 
-    Run k draws from PCG64 on SeedSequence(seed, spawn_key=(k,)), so outcomes
-    are reproducible run by run; child n_runs, which no run reads, seeds the
-    tomography of `optomech protocol`.  All maps are diagonal in position:
-    run k's state is rho_base o (b_k b_k^dag), b_k = U(q1) / sqrt(p1) on rho0
-    (one pulse) or U(q2) U(q1)[::-1] / sqrt(p1 p2) on flipped rho0 (two).
-    Every b_k is phi e_k with one outcome-independent kick phase phi and a
-    real modulus e_k, even in x, so the mean is _even_map of rho_base with
-    the quadrant sum of e_k e_k^T / n_acc.  One pulse has phi = e^{i w x};
-    for two, phi = e^{i w x} e^{i w x}[::-1] = 1: the parity flip cancels
-    the kicks.  Per block of runs, the moduli are evaluated on x > 0, one
-    outcome_kernel call on the first-pulse diagonals gives the second-outcome
-    pdfs, and one quadrant Gram adds to the mean.  Accepted outcomes of
-    probability <= MIN_EVENT_PROBABILITY raise ConditioningError, as in
+    Run k reads a (pulses, 2) array of uniforms, per pulse a node variate
+    then a noise variate, from PCG64 on SeedSequence(seed, spawn_key=(k,));
+    child n_runs, which no run reads, seeds the tomography of `optomech
+    protocol`.  Each outcome is chi x_i^2 + N(0, 1/2) at a node i of weight
+    rho_ii dx (_outcomes), folded onto x > 0 as in _even_map, where the
+    parity flip before a second pulse leaves the weights as they are.  Run
+    k's state is rho_base o (b_k b_k^dag), b_k = U(q1) / sqrt(p1) on rho0
+    (one pulse) or U(q2) U(q1)[::-1] / sqrt(p1 p2) on flipped rho0 (two):
+    a kick phase (e^{i w x}; 1 for two pulses, whose kicks the flip cancels)
+    times a real modulus e_k, even in x.  So the mean is _even_map of
+    rho_base with the quadrant sum of e_k e_k^T / n_acc.  Accepted outcomes
+    of probability <= MIN_EVENT_PROBABILITY raise ConditioningError, as in
     condition_exact; zero acceptances give an empty-ensemble summary.
     """
     if grid is None:
@@ -180,10 +186,11 @@ def run_protocol(config: ProtocolConfig,
             closed_form = condition_window(state0, chi, omega, window)[1]
     except ConditioningError:
         closed_form = 0.0
-    dist0 = outcome_pdf(state0, chi)
     diag0 = state0.diagonal()
     half, dx = grid.n_points // 2, grid.dx
     sq = chi * grid.xs[half:] ** 2
+    fold0 = (diag0[half:] + diag0[:half][::-1]) * dx
+    pulses = 1 + config.two_pulse
 
     master = np.random.SeedSequence(config.seed)
     blocks = []  # (outcomes, accepted) per block
@@ -191,31 +198,23 @@ def run_protocol(config: ProtocolConfig,
     for start in range(0, config.n_runs, _BLOCK_RUNS):
         streams = master.spawn(min(_BLOCK_RUNS, config.n_runs - start))
         u = np.array([np.random.Generator(np.random.PCG64(s))
-                      .uniform(size=1 + config.two_pulse) for s in streams])
-        q = dist0.quantile(u[:, :1])
-        rows = _envelopes(sq, q[:, 0])  # x > 0 halves of even rows
-        raw1 = np.hstack([rows[:, ::-1], rows]) ** 2 * diag0
-        probs = raw1.sum(axis=1, keepdims=True) * dx
-        if config.two_pulse:
-            diag1 = _flushed(raw1[:, ::-1] / probs)  # parity-flipped
-            pdfs = outcome_kernel(dist0.q_axis, grid.xs, chi, diag1) * dx
-            q2 = [OutcomeDistribution(dist0.q_axis, pdf).quantile(v)
-                  for pdf, v in zip(pdfs, u[:, 1])]
-            q = np.column_stack([q[:, 0], q2])
+                      .random((pulses, 2)) for s in streams])
+        q, joint = np.empty((2, len(streams), pulses))
+        w, b = fold0, 1.0  # folded diagonal of the unnormalised state
+        for j in range(pulses):
+            q[:, j] = _outcomes(sq, np.cumsum(w, axis=-1), u[:, j])
+            env = _envelopes(sq, q[:, j])  # x > 0 halves of even moduli
+            w, b = env**2 * w, env * b
+            joint[:, j] = w.sum(axis=-1)  # p1, then p1 p2
         ok = np.all((window.lo <= q) & (q <= window.hi), axis=1)
         blocks.append((q, ok))
-        q, probs, b = q[ok], probs[ok], rows[ok]
-        if config.two_pulse:
-            rows2 = _envelopes(sq, q[:, 1])
-            p2 = np.sum(np.hstack([rows2[:, ::-1], rows2]) ** 2 * diag1[ok],
-                        axis=1) * dx
-            probs = np.column_stack([probs[:, 0], p2])
-            b = rows2 * b  # the first modulus is even: flipping leaves it
+        q, joint, b = q[ok], joint[ok], b[ok]
+        probs = joint / np.column_stack([np.ones(len(q)), joint[:, :-1]])
         bad = np.flatnonzero(probs <= MIN_EVENT_PROBABILITY)  # run by run
         if bad.size:
             raise ConditioningError(f"outcome {q.flat[bad[0]]} has negligible "
                                     f"probability {probs.flat[bad[0]]:.3e}")
-        mixture += _gram(b / np.sqrt(np.prod(probs, axis=1))[:, None])
+        mixture += _gram(b / np.sqrt(joint[:, -1:]))
 
     outcomes, accepted = map(np.concatenate, zip(*blocks))
     n_acc = int(np.count_nonzero(accepted))

@@ -126,7 +126,16 @@ def check_monte_carlo(overrides, shared) -> list[CheckResult]:
                   f"MC acceptance over {cfg.n_runs} runs vs closed form",
                   p0, 3 * se, summary.acceptance_rate, overrides)
     result.detail = f"3 binomial SE = {3 * se:.4f}, seed {DEFAULT_SEED}"
-    return [result]
+    # Accepted runs are independent, E[rho_k | accepted] is the windowed
+    # state rho_w and every rho_k is pure, so E ||mean - rho_w||^2_HS = (1 -
+    # Tr rho_w^2) / n_acc: r has mean 1, and by Markov P(r >= 100) <= 1 %.
+    rho_w = ms.condition_window(st.make_gaussian(
+        st.default_grid(), cfg.initial), cfg.chi, 0.0, cfg.window)[0]
+    diff = st.DensityMatrixGrid(rho_w.grid, summary.mean_state.rho - rho_w.rho)
+    r = summary.n_accepted * st.purity(diff) / (1.0 - st.purity(rho_w))
+    return [result, _bound("monte_carlo.mean_state", "n_acc ||mean - rho_w||"
+                           "^2_HS / (1 - Tr rho_w^2), mean 1", 100.0, r,
+                           overrides)]
 
 
 # ---------------------------------------------------------------------------

@@ -284,13 +284,16 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
                  "omega_kick": 1000.0,
                  "window": {"center": 1.5, "width": 0.8}}, "omega_kick"),
     ("protocol", {**PROTOCOL, "omega_kick": 1000.0}, "omega_kick"),
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0,
+                 "omega_kick": 1000.0}, "omega_kick"),
 ], ids=["measure_one_outcome", "measure_coarse_outcomes",
         "measure_over_counting_outcomes", "pulse_negative_kappa",
         "tomography_negative_samples", "tomography_negative_chi_p",
         "tomography_zero_angles", "tomography_negative_angles",
         "protocol_negative_seed", "wigner_label_separator",
         "wigner_label_nul", "wigner_negative_chi", "wigner_aliased_kick",
-        "measure_aliased_kick", "protocol_aliased_kick"])
+        "measure_aliased_kick", "protocol_aliased_kick",
+        "measure_aliased_kick_without_window"])
 def test_out_of_range_field_exit_2(tmp_path, capsys, command, cfg, named):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2
@@ -331,6 +334,14 @@ def test_negligible_window_exit_1(tmp_path, capsys):
     code, _ = run(tmp_path, "measure", cfg)
     assert code == 1
     assert "negligible probability" in capsys.readouterr().err
+
+
+def test_protocol_at_large_strength(tmp_path):
+    # outcomes come from the model, with no outcome grid to resolve chi x^2
+    cfg = {**PROTOCOL, "chi": 200.0, "window": {"center": 20.0, "width": 0.5}}
+    code, out = run(tmp_path, "protocol", cfg)
+    assert code == 0
+    assert json.loads((out / "summary.json").read_text())["n_runs"] == 10
 
 
 def test_verify_subset_passes(tmp_path):

@@ -13,7 +13,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from optomech import measurement as M
 from optomech import protocol as PR
@@ -312,28 +311,6 @@ def test_oracles_match_explicit_per_node_sum():
 
 
 # ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-def test_sampling_is_deterministic(ground):
-    dist = M.outcome_pdf(ground, 1.0)
-    a = dist.quantile(np.random.default_rng(5).uniform(size=100))
-    b = dist.quantile(np.random.default_rng(5).uniform(size=100))
-    assert np.array_equal(a, b)
-
-
-def test_sample_mean_matches_formula(ground, rng):
-    samples = M.outcome_pdf(ground, 1.0).quantile(rng.uniform(size=100_000))
-    assert samples.mean() == pytest.approx(0.5, abs=0.01)
-
-
-def test_shot_noise_samples_are_gaussian(ground, rng):
-    samples = M.outcome_pdf(ground, 0.0).quantile(rng.uniform(size=50_000))
-    _, p_value = stats.kstest(samples, "norm", args=(0.0, np.sqrt(0.5)))
-    assert p_value > 0.01
-
-
-# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 
@@ -347,12 +324,21 @@ def test_pdf_csv_export(tmp_path, ground):
 
 
 def test_invalid_measurement_parameters(ground):
-    with pytest.raises(DomainError):
-        M.LinearPulseMeasurement(chi=0.0)
+    with pytest.raises(DomainError, match="chi"):
+        M.LinearPulseMeasurement(chi=-1.0)
     with pytest.raises(DomainError):
         M.OutcomeWindow(1.0, 0.0)
     with pytest.raises(DomainError, match="n_outcomes"):
         M.outcome_pdf(ground, 1.0, n_outcomes=1)
+
+
+def test_zero_strength_is_pure_kinematics_in_every_map(ground):
+    # chi = 0 reads no position: each map is the bare kick e^{i w (x - x')}
+    kicked = M.uncondition(ground, 0.0, 2.0)
+    exact = M.condition_exact(ground, M.LinearPulseMeasurement(0.0, 2.0, 0.7))
+    windowed, _ = M.condition_window(ground, 0.0, 2.0, M.OutcomeWindow(0, 1))
+    for state in (exact, windowed):
+        assert np.max(np.abs(state.rho - kicked.rho)) <= 1e-12
 
 
 @pytest.mark.parametrize("center, width", [(1.0, math.nan), (math.nan, 1.0),

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy import stats
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from optomech import measurement as M
 from optomech import protocol as PR
@@ -147,27 +147,29 @@ def test_summary_is_bit_reproducible():
 
 
 def reference_protocol(cfg, grid):
-    """Per-run loop: condition on each outcome, flip, sample and condition
-    again; returns acceptance flags, outcomes and accepted-ensemble mean.
-    Second-outcome pdfs come from the dense (outcomes, grid) kernel."""
+    """Per-run loop: draw an outcome from the run's (node, noise) variates,
+    condition on it, flip and repeat for a second pulse; returns acceptance
+    flags, outcomes and accepted-ensemble mean.  The node is the first of the
+    diagonal folded onto x > 0 whose running sum reaches (1 - u_node) of the
+    total, and the outcome is chi x^2 there plus ndtri(u_noise) / sqrt(2)."""
     state0 = states.make_gaussian(grid, cfg.initial)
-    dist0 = M.outcome_pdf(state0, cfg.chi)
-    kernel = np.exp(-(dist0.q_axis[:, None] - cfg.chi * grid.xs**2) ** 2) \
-        / np.sqrt(np.pi)
+    half = grid.n_points // 2
+    sq = cfg.chi * grid.xs[half:] ** 2
     lo, hi = cfg.window.lo, cfg.window.hi
     flags, outcomes, total = [], [], np.zeros_like(state0.rho)
     for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_runs):
         rng = np.random.Generator(np.random.PCG64(stream))
-        qs = [float(dist0.quantile(rng.uniform()))]
-        st = M.condition_exact(
-            state0, M.LinearPulseMeasurement(cfg.chi, cfg.omega_kick, qs[0]))
-        if cfg.two_pulse:
-            st = PR.rotate_half_period(st)
-            pdf = kernel @ st.diagonal() * grid.dx
-            dist = M.OutcomeDistribution(dist0.q_axis, pdf)
-            qs.append(float(dist.quantile(rng.uniform())))
+        st, qs = state0, []
+        for u_node, u_noise in rng.random((1 + cfg.two_pulse, 2)):
+            if qs:
+                st = PR.rotate_half_period(st)
+            diag = st.diagonal()
+            cdf = np.cumsum((diag[half:] + diag[:half][::-1]) * grid.dx)
+            node = np.searchsorted(cdf, (1.0 - u_node) * cdf[-1])
+            qs.append(float(sq[node] + ndtri(max(u_noise, 2.0**-54))
+                            * math.sqrt(0.5)))
             st = M.condition_exact(
-                st, M.LinearPulseMeasurement(cfg.chi, cfg.omega_kick, qs[1]))
+                st, M.LinearPulseMeasurement(cfg.chi, cfg.omega_kick, qs[-1]))
         flags.append(all(lo <= q <= hi for q in qs))
         outcomes.append(qs)
         if flags[-1]:
@@ -198,6 +200,88 @@ def test_acceptance_tracks_closed_form():
     p0 = summary.closed_form_probability
     se = math.sqrt(p0 * (1 - p0) / summary.n_runs)
     assert abs(summary.acceptance_rate - p0) < 3 * se
+
+
+def test_acceptance_tracks_closed_form_at_large_strength():
+    # at chi = 100 the window sits where chi x^2 is steep; drawing through a
+    # 2048-point outcome grid read this acceptance about 6 SE low
+    summary = PR.run_protocol(config(chi=100.0, window=window(20.0, 0.5),
+                                     n_runs=20_000, seed=5))
+    p0 = summary.closed_form_probability
+    se = math.sqrt(p0 * (1 - p0) / summary.n_runs)
+    assert abs(summary.acceptance_rate - p0) < 3 * se
+
+
+def test_outcome_mean_matches_formula():
+    # ground state at chi 1: <q> = chi <x^2> = 0.5, Var q = 2 (chi <x^2>)^2
+    # + 1/2 = 1, so the standard error of the mean is 1 / sqrt(n)
+    q = PR.run_protocol(config(n_runs=10_000, seed=6)).outcomes[:, 0]
+    assert abs(q.mean() - 0.5) < 3.0 / math.sqrt(q.size)
+
+
+def test_first_outcomes_follow_the_exact_mixture():
+    # on the grid, P(q) = sum_i w_i K(q - chi x_i^2) with w_i = rho_ii dx
+    grid = states.QuadratureGrid(-8.0, 8.0, 128)
+    state = states.make_gaussian(grid, states.GaussianSpec("thermal",
+                                                           nbar=0.7))
+    q = PR.run_protocol(config(initial=states.GaussianSpec(
+        "thermal", nbar=0.7), n_runs=4000, seed=12), grid=grid).outcomes[:, 0]
+    w = state.diagonal() * grid.dx
+
+    def cdf(x):
+        return ndtr(math.sqrt(2.0) * np.subtract.outer(x, grid.xs**2)) @ w \
+            / w.sum()
+
+    assert stats.kstest(q, cdf).pvalue > 0.01
+
+
+def test_zero_strength_draws_pure_shot_noise():
+    # chi = 0 reads no position: both outcomes of every run are N(0, 1/2)
+    summary = PR.run_protocol(config(chi=0.0, two_pulse=True, n_runs=5000,
+                                     seed=8, window=window(0.0, 1.0)))
+    _, p_value = stats.kstest(summary.outcomes.ravel(), "norm",
+                              args=(0.0, math.sqrt(0.5)))
+    assert p_value > 0.01
+
+
+def test_extreme_variates_give_finite_outcomes_on_weighted_nodes():
+    # Generator.random returns k 2^-53 for 0 <= k < 2^53; at both extremes
+    # a node variate must still pick a node of positive weight, and a noise
+    # variate a finite shot noise
+    sq = np.arange(6.0)
+    weights = np.array([0.0, 0.0, 1.0, 0.0, 2.0, 0.0])
+    top = 1.0 - 2.0**-53
+    u = np.array([[0.0, 0.0], [0.0, top], [top, 0.0], [top, top]])
+    noise = ndtri(np.maximum(u[:, 1], 2.0**-54)) * math.sqrt(0.5)
+    assert np.all(np.isfinite(noise))
+    for cdf in (np.cumsum(weights), np.tile(np.cumsum(weights), (4, 1))):
+        q = PR._outcomes(sq, cdf, u)
+        assert np.all(np.isfinite(q))
+        assert np.rint(q - noise).tolist() == [4.0, 4.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("two_pulse", [False, True],
+                         ids=["single_pulse", "two_pulse"])
+def test_mean_state_ratio_has_mean_one(two_pulse):
+    # E[rho_k | accepted] is the windowed state rho_w and every rho_k is
+    # pure, so r = n_acc ||mean - rho_w||^2_HS / (1 - Tr rho_w^2) has mean 1
+    # for any n_acc; seeds 0-39 are fixed in advance
+    grid = states.QuadratureGrid(-8.0, 8.0, 128)
+    ground = states.make_gaussian(grid, states.GaussianSpec("ground"))
+    win = window(1.5, 1.2)
+    prepare = PR.two_pulse_prepare if two_pulse else M.condition_window
+    target = prepare(ground, 1.0, 1.5, win)[0]
+    ratios = []
+    for seed in range(40):
+        summary = PR.run_protocol(config(n_runs=500, seed=seed, window=win,
+                                         omega_kick=1.5, two_pulse=two_pulse),
+                                  grid=grid)
+        diff = states.DensityMatrixGrid(grid, summary.mean_state.rho
+                                        - target.rho)
+        ratios.append(summary.n_accepted * states.purity(diff)
+                      / (1.0 - states.purity(target)))
+    se = np.std(ratios, ddof=1) / math.sqrt(len(ratios))
+    assert abs(np.mean(ratios) - 1.0) < 3.0 * se
 
 
 def test_mixture_matches_windowed_state(grid, ground):
@@ -237,6 +321,8 @@ def test_two_pulse_monte_carlo_consistency():
 def test_config_validation():
     with pytest.raises(DomainError):
         config(n_runs=0)
+    with pytest.raises(DomainError, match="chi"):
+        config(chi=-1.0)
 
 
 @pytest.mark.parametrize("field, value", [("chi", math.nan),
