@@ -13,7 +13,6 @@ from . import (measurement, params, protocol, pulse, states, verification,
                wigner)
 from .errors import (AmbiguityError, ConditioningError, ContractError,
                      DomainError, GridError, NarrowGridWarning,
-                     OptomechError, RangeError, ReconstructionWarning,
-                     TruncationError)
+                     OptomechError, ReconstructionWarning, TruncationError)
 
 __version__ = "0.1.0"

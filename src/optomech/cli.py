@@ -66,12 +66,14 @@ def _parsed(where: str, build, *args, **kwargs):
 
 
 # Value-type blocks: each schema is read from the dataclass's own fields,
-# types and defaults.  A grid is symmetric, so x_min defaults to -x_max.
+# types and defaults.  A grid is symmetric, so x_min defaults to -x_max; a
+# protocol run without a seed takes seed 0.
 _BLOCKS = {cls: {f.name: (get_type_hints(cls)[f.name], f.default)
                  for f in fields(cls)}
            for cls in (pm.SystemParams, st.GaussianSpec, ms.OutcomeWindow,
-                       st.QuadratureGrid)}
+                       st.QuadratureGrid, pr.ProtocolConfig)}
 _BLOCKS[st.QuadratureGrid]["x_min"] = (float, lambda got: -got["x_max"])
+_BLOCKS[pr.ProtocolConfig]["seed"] = (int, 0)
 
 
 def _read(val, kind, where: str):
@@ -150,13 +152,11 @@ def cmd_state(cfg: dict, out: Path) -> int:
 def cmd_measure(cfg: dict, out: Path) -> int:
     cfg = _walk(cfg, {**_STATE, "chi": (float, MISSING),
                       "omega_kick": (float, 0.0),
-                      "window": (ms.OutcomeWindow, None),
-                      "n_outcomes": (int, ms.DEFAULT_N_OUTCOMES)})
+                      "window": (ms.OutcomeWindow, None)})
     state = st.make_gaussian(cfg["grid"], cfg["state"])
     chi, omega, window = cfg["chi"], cfg["omega_kick"], cfg["window"]
     _parsed("config", ms._kick, state.grid, chi, omega)  # even with no window
-    dist = _parsed("config", ms.outcome_pdf, state, chi,
-                   n_outcomes=cfg["n_outcomes"])
+    dist = _parsed("config", ms.outcome_pdf, state, chi)
     ms.pdf_to_csv(dist, out / "pdf.csv")
     doc = {"chi": chi, "omega": omega, "outcome_mean": dist.mean(),
            "outcome_variance": dist.central_moment(2), "window": None,
@@ -230,12 +230,9 @@ def cmd_pulse(cfg: dict, out: Path) -> int:
 def cmd_protocol(cfg: dict, out: Path) -> int:
     tomography = {"n_angles": (int, 16), "samples_per_angle": (int, 100_000),
                   "chi_p": (float, 10.0)}
-    cfg = _walk(cfg, {
-        "grid": _GRID, "initial": (st.GaussianSpec, MISSING),
-        "window": (ms.OutcomeWindow, MISSING), "chi": (float, MISSING),
-        "omega_kick": (float, 0.0), "n_runs": (int, MISSING),
-        "seed": (int, 0), "two_pulse": (bool, False),
-        "system": (pm.SystemParams, None), "tomography": (tomography, None)})
+    run = _BLOCKS[pr.ProtocolConfig]
+    cfg = _walk(cfg, {"grid": _GRID, **run, "system": (pm.SystemParams, None),
+                      "tomography": (tomography, None)})
     nbar_over_q = None
     if cfg["system"] is not None:
         nbar_over_q = _parsed("config.system", pm.derive,
@@ -247,11 +244,7 @@ def cmd_protocol(cfg: dict, out: Path) -> int:
                 raise ConfigError(f"config.tomography.{name} must be >= {low}")
         if tomo["chi_p"] <= 0:
             raise ConfigError("config.tomography.chi_p must be positive")
-    config = _parsed(
-        "config", pr.ProtocolConfig,
-        initial=cfg["initial"], chi=cfg["chi"], window=cfg["window"],
-        n_runs=cfg["n_runs"], seed=cfg["seed"],
-        omega_kick=cfg["omega_kick"], two_pulse=cfg["two_pulse"])
+    config = _parsed("config", pr.ProtocolConfig, **{k: cfg[k] for k in run})
     summary = _parsed("config", pr.run_protocol, config, grid=cfg["grid"])
 
     w = w_min = w_vol = tomo_wigner = tomo_report = None

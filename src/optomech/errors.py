@@ -21,11 +21,6 @@ class ConditioningError(OptomechError, ValueError):
     """Conditioning on an outcome (or window) of negligible probability."""
 
 
-class RangeError(OptomechError, ValueError):
-    """An outcome grid too coarse (too few outcomes): it resolves a mass of
-    the outcome density that is not 1 to within 1e-4."""
-
-
 class TruncationError(OptomechError, ValueError):
     """Basis or time-grid truncation too severe for the requested operation."""
 

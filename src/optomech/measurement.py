@@ -17,7 +17,9 @@ and w, makes the kick phase and mirrors K from its x, x' > 0 quadrant; each
 map supplies only that quadrant.  Windowed conditioning integrates the
 outcome Gaussian over the window in closed form (an error-function
 difference); slow quadrature versions of the windowed and unconditional
-maps, summed over the Kraus moduli, are kept alongside as oracles.
+maps, summed over the Kraus moduli, are kept alongside as oracles.  The
+outcome density, on the grid a mixture of shot-noise Gaussians, is sampled
+finely enough that its sums are exact at every chi.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import ConditioningError, DomainError, GridError, RangeError
+from .errors import ConditioningError, DomainError, GridError
 from .states import DensityMatrixGrid, QuadratureGrid
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "pdf_to_csv",
 ]
 
-DEFAULT_N_OUTCOMES = 2048
 # conditioning below this probability is numerically meaningless
 MIN_EVENT_PROBABILITY = 1e-12
 
@@ -97,12 +98,6 @@ class OutcomeWindow:
 _FLUSH_BELOW = 1e-150
 
 
-def _flushed(a: np.ndarray) -> np.ndarray:
-    """Zero the entries below _FLUSH_BELOW in magnitude, in place."""
-    a[np.abs(a) < _FLUSH_BELOW] = 0.0
-    return a
-
-
 def _envelopes(sq: np.ndarray, outcomes):
     """Moduli |U(x; q)| of the linear-scheme Kraus diagonals at sq = chi x^2:
     shape (n,) for one outcome, (m, n) for an array of m outcomes."""
@@ -113,7 +108,7 @@ def _envelopes(sq: np.ndarray, outcomes):
 def _gram(env: np.ndarray) -> np.ndarray:
     """E^T E of real rows E, flushed in place first (a.T @ a runs as syrk).
     The kick phase of U(x; q) is q-independent, so B^T B* = phase o E^T E."""
-    _flushed(env)
+    env[np.abs(env) < _FLUSH_BELOW] = 0.0
     return env.T @ env
 
 
@@ -143,13 +138,17 @@ def linear_kraus_diagonal(grid: QuadratureGrid,
 # band of q - chi x^2 outside which the kernel is below e^-81 of its peak
 _KERNEL_BLOCK = 128
 _KERNEL_CUT = 9.0
+# outcome_pdf's spacing h and outcome cap (32 MiB per array).  By Poisson
+# summation, sums of h K(q_k - c) and its moments are off by ~exp(-pi^2/h^2),
+# below double rounding for any h <= 1/2; 1/8 is ~6 samples per shot-noise sd
+_OUTCOME_STEP = 0.125
+_MAX_OUTCOMES = 2**22
 
 
 def outcome_kernel(q_axis: np.ndarray, xs: np.ndarray, chi: float,
                    weights: np.ndarray) -> np.ndarray:
     """sum_i K(q_k - chi x_i^2) w_i, K(u) = pi^(-1/2) exp(-u^2), for weights
-    of shape (n,) or (k, n) on a symmetric grid xs of even length n;
-    returns shape (m,) or (k, m).
+    of shape (n,) on a symmetric grid xs of even length n; returns shape (m,).
 
     P(q_k) is this with w = rho(x_i, x_i) dx.  chi x^2 is even, so the
     weights fold onto x > 0 (x_{n-1-i}^2 is read as x_i^2, as in _even_map)
@@ -160,14 +159,14 @@ def outcome_kernel(q_axis: np.ndarray, xs: np.ndarray, chi: float,
     """
     half = xs.size // 2
     sq = chi * xs[half:] ** 2
-    folded = weights[..., half:] + weights[..., :half][..., ::-1]
-    out = np.empty(folded.shape[:-1] + q_axis.shape)
+    folded = weights[half:] + weights[:half][::-1]
+    out = np.empty(q_axis.shape)
     for start in range(0, q_axis.size, _KERNEL_BLOCK):
         q = q_axis[start:start + _KERNEL_BLOCK]
         lo = np.searchsorted(sq, q.min() - _KERNEL_CUT, side="left")
         hi = np.searchsorted(sq, q.max() + _KERNEL_CUT, side="right")
         band = np.exp(-(q[:, None] - sq[lo:hi]) ** 2)
-        out[..., start:start + _KERNEL_BLOCK] = folded[..., lo:hi] @ band.T
+        out[start:start + _KERNEL_BLOCK] = folded[lo:hi] @ band.T
     return out / np.sqrt(np.pi)
 
 
@@ -183,7 +182,7 @@ class OutcomeDistribution:
 
     @property
     def mass(self) -> float:
-        """Raw integral of the sampled pdf (1 up to grid clipping)."""
+        """Trapezoid integral of the sampled pdf: the state's trace."""
         return self._mass
 
     def mean(self) -> float:
@@ -195,29 +194,25 @@ class OutcomeDistribution:
                      * self.dq / self._mass)
 
 
-def outcome_pdf(state: DensityMatrixGrid, chi: float,
-                n_outcomes: int = DEFAULT_N_OUTCOMES) -> OutcomeDistribution:
+def outcome_pdf(state: DensityMatrixGrid, chi: float) -> OutcomeDistribution:
     """Homodyne outcome density P(q) = integral dx rho(x,x) |U(x; q)|^2.
 
     The density is independent of the kick (the phase cancels in U^dag U);
-    it is outcome_kernel of the diagonal, so no n_outcomes x n matrix is
-    built.  The outcome range [-6, chi x_max^2 + 6] covers shot noise plus
-    the full deterministic range of chi x^2 on the grid, so its tails are
-    negligible; raises RangeError when n_outcomes is too coarse to resolve a
-    mass within 1e-4 of 1 (a coarse grid can lose mass or over-count it).
+    it is outcome_kernel of the diagonal, sampled every _OUTCOME_STEP from
+    -6 to chi x_max^2 + 6 or just past it, where K of every grid node is
+    below e^-36.  Its mass, mean and variance are then the grid mixture's to
+    rounding at every chi.  A chi whose axis would pass _MAX_OUTCOMES raises
+    DomainError before any array is built.
     """
     _kick(state.grid, chi, 0.0)  # the maps' check of chi
-    if n_outcomes < 2:
-        raise DomainError(f"n_outcomes must be >= 2, got {n_outcomes!r}")
-    q_axis = np.linspace(-6.0, chi * state.grid.x_max**2 + 6.0, n_outcomes)
+    n_q = np.ceil((chi * state.grid.x_max**2 + 12.0) / _OUTCOME_STEP) + 1
+    if n_q > _MAX_OUTCOMES:
+        raise DomainError(f"chi = {chi!r} needs {n_q:.4g} outcomes on this "
+                          f"grid, above the cap of {_MAX_OUTCOMES}")
+    q_axis = -6.0 + _OUTCOME_STEP * np.arange(n_q)
     pdf = outcome_kernel(q_axis, state.grid.xs, chi,
                          state.diagonal()) * state.grid.dx
-    dist = OutcomeDistribution(q_axis, pdf)
-    if not abs(dist.mass - 1.0) <= 1e-4:
-        raise RangeError(f"n_outcomes = {n_outcomes} resolves a mass of "
-                         f"{dist.mass:.4g}, not 1 to within 1e-4; use more "
-                         "outcomes")
-    return dist
+    return OutcomeDistribution(q_axis, pdf)
 
 
 # ---------------------------------------------------------------------------

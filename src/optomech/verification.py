@@ -184,7 +184,7 @@ def check_mean_outcome(overrides, shared) -> list[CheckResult]:
     for nbar, grid in grids.items():
         state = st.make_gaussian(grid, st.GaussianSpec("thermal", nbar=nbar))
         for chi in (0.5, 1.0, 2.0):
-            mean = ms.outcome_pdf(state, chi, n_outcomes=4096).mean()
+            mean = ms.outcome_pdf(state, chi).mean()
             out.append(_rel(f"mean_outcome.n{nbar:g}_chi{chi:g}",
                             f"<outcome> at nbar={nbar:g}, chi={chi:g}",
                             chi * (0.5 + nbar), 1e-5, mean, overrides))

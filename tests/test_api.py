@@ -1,7 +1,7 @@
 """Each layer module's __all__ names only attributes the module defines,
 every public name and every member of a public class is used by the
-program, and every option of a public function or dataclass is set by some
-caller of the program.
+program, every option of a public function or dataclass is set by some
+caller of the program, and every error class is raised or warned.
 
 bench/tracer.py finds the functions it times through __all__, and
 `from optomech.<layer> import *` fails on a stale entry.  The tracer drops a
@@ -222,6 +222,33 @@ def test_benchmark_rows_name_traced_functions():
         if not known:
             unknown.append(row["name"])
     assert unknown == []
+
+
+def _raised_or_warned():
+    """Names raised, or passed to a warn call, in src."""
+    names = set()
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc
+                names.add(_name(exc.func if isinstance(exc, ast.Call)
+                                else exc))
+            elif isinstance(node, ast.Call) and _name(node.func) == "warn":
+                names.update(_name(arg) for arg in node.args)
+                names.update(_name(kw.value) for kw in node.keywords)
+    return names
+
+
+def test_every_error_class_is_raised_or_warned():
+    # an error class outlives its last raise unnoticed otherwise; a base
+    # class counts through any subclass that is raised
+    errors = importlib.import_module("optomech.errors")
+    classes = {name: cls for name, cls in vars(errors).items()
+               if inspect.isclass(cls) and cls.__module__ == errors.__name__}
+    raised = [classes[name] for name in _raised_or_warned() if name in classes]
+    unused = [name for name, cls in classes.items()
+              if not any(issubclass(sub, cls) for sub in raised)]
+    assert sorted(unused) == []
 
 
 def test_import_leaves_out_heavy_scipy_subpackages():

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,8 @@ SYSTEM = dict(wavelength=1064e-9, mass=40e-12, omega_m=2 * math.pi * 2e3,
               reflectivity=0.5, temperature=25e-3, quality_factor=5e6)
 PROTOCOL = {"initial": {"kind": "ground"}, "chi": 1.0,
             "window": {"center": 1.5, "width": 0.8}, "n_runs": 10}
+# the outcome axis is set by chi alone, so the old field is refused outright
+N_OUTCOMES_UNKNOWN = "config.n_outcomes is not a known field"
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -108,6 +111,32 @@ def test_measure_command_with_window(tmp_path):
     doc = json.loads((out / "measurement.json").read_text())
     assert doc["window_probability"] == pytest.approx(0.148895, abs=1e-4)
     assert (out / "conditioned.npz").exists()
+
+
+def test_measure_command_at_large_strength(tmp_path):
+    # the outcome axis follows chi x_max^2 = 12800; a ground state reads
+    # mean chi / 2 and variance chi^2 / 2 + 1/2
+    code, out = run(tmp_path, "measure",
+                    {"state": {"kind": "ground"}, "chi": 200.0})
+    assert code == 0
+    doc = json.loads((out / "measurement.json").read_text())
+    assert doc["outcome_mean"] == pytest.approx(100.0, rel=1e-9)
+    assert doc["outcome_variance"] == pytest.approx(20000.5, rel=1e-9)
+
+
+def test_measure_strength_past_the_outcome_cap_exit_2(tmp_path, capsys):
+    # chi = 1e6 would need 5.1e8 outcomes, 4 GiB per array: the config is
+    # refused before any array of that size is built
+    tracemalloc.start()
+    try:
+        code, _ = run(tmp_path, "measure",
+                      {"state": {"kind": "ground"}, "chi": 1e6})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "config: chi = 1000000.0" in capsys.readouterr().err
+    assert peak < 32 * 2**20
 
 
 def test_wigner_command_conditioned_panel(tmp_path):
@@ -225,8 +254,10 @@ def test_protocol_bad_system_block_exit_2(tmp_path, capsys, system, named):
 @pytest.mark.parametrize("command, cfg, named", [
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "omega_kick": "x"},
      "omega_kick"),
+    # n_outcomes is no longer a field: a bad value is refused as unknown,
+    # not type-checked
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 2.5},
-     "n_outcomes"),
+     N_OUTCOMES_UNKNOWN),
     ("state", {"state": {"kind": "thermal", "nbar": "two"}}, "nbar"),
     ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": "fast"},
      "kappa"),
@@ -254,13 +285,14 @@ def test_non_numeric_field_exit_2(tmp_path, capsys, command, cfg, named):
 
 
 @pytest.mark.parametrize("command, cfg, named", [
+    # the outcome counts the removed n_outcomes field once refused as too
+    # coarse (1, 4) or over-counting (12) are now unknown-field errors
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 1},
-     "n_outcomes"),
+     N_OUTCOMES_UNKNOWN),
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 4},
-     "n_outcomes"),
-    # twelve outcomes over-count the mass (2.43) instead of losing it
+     N_OUTCOMES_UNKNOWN),
     ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 12},
-     "n_outcomes"),
+     N_OUTCOMES_UNKNOWN),
     ("pulse", {"photon_number": 1e9, "g_lin": 1.0, "kappa": -1.0}, "kappa"),
     ("protocol", {**PROTOCOL, "tomography": {"samples_per_angle": -5}},
      "config.tomography.samples_per_angle"),
@@ -313,8 +345,10 @@ def test_out_of_range_field_exit_2(tmp_path, capsys, command, cfg, named):
     ("protocol", {**PROTOCOL, "tomography": {"nangles": 4}},
      "config.tomography.nangles"),
     ("params", {"system": {**SYSTEM, "finess": 1e4}}, "config.system.finess"),
+    ("measure", {"state": {"kind": "ground"}, "chi": 1.0, "n_outcomes": 2048},
+     N_OUTCOMES_UNKNOWN),
 ], ids=["omega_kik", "state_nbarr", "grid_npoints", "window_halfwidth",
-        "tomography_nangles", "system_finess"])
+        "tomography_nangles", "system_finess", "measure_n_outcomes"])
 def test_unknown_field_exit_2(tmp_path, capsys, command, cfg, named):
     code, _ = run(tmp_path, command, cfg)
     assert code == 2

@@ -1,8 +1,8 @@
 """Random CLI configs: every command exits 0, 1 or 2 and never raises.
 
 The configs mix valid fields, unknown keys, values of the wrong JSON type
-and values out of range.  Sizes stay small (n_points <= 64, n_runs <= 50,
-n_outcomes <= 256) so the whole file runs in a few seconds.
+and values out of range.  Sizes stay small (n_points <= 64, n_runs <= 50)
+so the whole file runs in a few seconds.
 """
 
 import json
@@ -37,9 +37,9 @@ CHI = ([0.5, 1.0], [0.0, -1.0])
 SCHEMAS = {
     "params": {"system": SYSTEM},
     "state": {"grid": GRID, "state": SPEC},
-    "measure": {"grid": GRID, "state": SPEC, "chi": ([0.0, 1.0], []),
-                "omega_kick": ([0.0, 1.5], []), "window": WINDOW,
-                "n_outcomes": ([64, 256], [1, -3])},
+    # chi = 1e6 would need more than the 2^22 outcomes outcome_pdf allows
+    "measure": {"grid": GRID, "state": SPEC, "chi": ([0.0, 1.0, 200.0], [1e6]),
+                "omega_kick": ([0.0, 1.5], []), "window": WINDOW},
     "wigner": {"grid": GRID, "state": SPEC,
                "mode": (["initial", "conditioned", "unconditional"],
                         ["sideways"]),

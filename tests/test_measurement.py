@@ -17,8 +17,7 @@ import pytest
 from optomech import measurement as M
 from optomech import protocol as PR
 from optomech import states
-from optomech.errors import ConditioningError, DomainError, GridError, \
-    RangeError
+from optomech.errors import ConditioningError, DomainError, GridError
 
 # scipy.quad oracles, computed before implementation
 P_WINDOW_GROUND = 0.148895
@@ -55,13 +54,12 @@ def test_kraus_modulus_even_phase_odd(grid):
 
 
 def test_completeness_of_outcome_family(grid, ground):
-    # integral dq U^dag U must be the identity pointwise in x; identity
-    # weights give one kernel row per grid point
-    dist = M.outcome_pdf(ground, 1.0, n_outcomes=4096)
-    family = M.outcome_kernel(dist.q_axis, grid.xs, 1.0,
-                              np.eye(grid.n_points))
-    totals = np.trapezoid(family, dist.q_axis, axis=1)
-    assert np.max(np.abs(totals - 1.0)) < 1e-8
+    # integral dq U^dag U must be the identity pointwise in x; a unit
+    # weight gives the kernel row of one grid point
+    dist = M.outcome_pdf(ground, 1.0)
+    totals = [np.trapezoid(M.outcome_kernel(dist.q_axis, grid.xs, 1.0, row),
+                           dist.q_axis) for row in np.eye(grid.n_points)]
+    assert np.max(np.abs(np.array(totals) - 1.0)) < 1e-8
 
 
 def dense_outcome_sum(q_axis, xs, chi, weights):
@@ -78,16 +76,15 @@ def test_outcome_kernel_matches_dense_closed_form(n, chi):
     # chi x_max^2, so the last blocks have an empty band
     xs = states.QuadratureGrid(-8.0, 8.0, n).xs
     q_axis = np.linspace(-6.0, chi * 64.0 + 40.0, 1000)
-    rng = np.random.default_rng(n)
-    for weights in (rng.random(n), rng.random((5, n))):
-        want = dense_outcome_sum(q_axis, xs, chi, weights)
-        got = M.outcome_kernel(q_axis, xs, chi, weights)
+    weights = np.random.default_rng(n).random((5, n))
+    for row, want in zip(weights, dense_outcome_sum(q_axis, xs, chi, weights)):
+        got = M.outcome_kernel(q_axis, xs, chi, row)
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(want)
 
 
 def test_outcome_pdf_normalization_and_moments(ground):
-    dist = M.outcome_pdf(ground, 1.0, n_outcomes=4096)
+    dist = M.outcome_pdf(ground, 1.0)
     assert dist.mass == pytest.approx(1.0, abs=1e-6)
     assert dist.mean() == pytest.approx(0.5, abs=1e-6)
     assert dist.central_moment(2) == pytest.approx(1.0, abs=1e-4)
@@ -105,12 +102,12 @@ def test_outcome_pdf_positive_wing(ground):
 def test_outcome_pdf_mean_law_thermal(nbar, x_max, n):
     wide = states.QuadratureGrid(-x_max, x_max, n)
     th = states.make_gaussian(wide, states.GaussianSpec("thermal", nbar=nbar))
-    dist = M.outcome_pdf(th, 1.0, n_outcomes=4096)
+    dist = M.outcome_pdf(th, 1.0)
     assert dist.mean() == pytest.approx(0.5 + nbar, rel=1e-6)
 
 
 def test_outcome_pdf_shot_noise_limit(ground):
-    dist = M.outcome_pdf(ground, 0.0, n_outcomes=4096)
+    dist = M.outcome_pdf(ground, 0.0)
     assert dist.mean() == pytest.approx(0.0, abs=1e-9)
     assert dist.central_moment(2) == pytest.approx(0.5, abs=1e-6)
 
@@ -132,27 +129,20 @@ def test_outcome_pdf_kick_independent(grid, ground):
     assert np.max(np.abs(a.pdf - b.pdf)) < 1e-14
 
 
-def test_outcome_pdf_range_clipping(ground):
-    # four outcomes over [-6, 70] cannot resolve the ground-state density
-    with pytest.raises(RangeError, match="n_outcomes = 4"):
-        M.outcome_pdf(ground, 1.0, n_outcomes=4)
-
-
-def test_outcome_pdf_range_error_matches_dense_closed_form(grid, ground):
-    # the mass check trips at exactly the n_outcomes the dense sum fails at
-    want, got = [], []
-    for n_outcomes in range(2, 300):
-        q_axis = np.linspace(-6.0, grid.x_max**2 + 6.0, n_outcomes)
-        pdf = dense_outcome_sum(q_axis, grid.xs, 1.0,
-                                ground.diagonal()) * grid.dx
-        if not abs(M.OutcomeDistribution(q_axis, pdf).mass - 1.0) <= 1e-4:
-            want.append(n_outcomes)
-        try:
-            M.outcome_pdf(ground, 1.0, n_outcomes=n_outcomes)
-        except RangeError:
-            got.append(n_outcomes)
-    assert 4 in want and 299 not in want
-    assert got == want
+@pytest.mark.parametrize("chi", [0.0, 1.0, 200.0])
+def test_outcome_pdf_is_the_grid_mixture_at_every_strength(grid, ground, chi):
+    # on the grid P(q) = sum_i w_i K(q - chi x_i^2), w_i = rho_ii dx: mass
+    # 1, mean chi <x^2> and variance chi^2 Var(x^2) + 1/2 over the weights
+    # (the chi = 0 mean is 0, so it is held to an absolute bound)
+    w = ground.diagonal().real * grid.dx
+    w /= np.sum(w)
+    mean_x2 = np.sum(w * grid.xs**2)
+    var_x2 = np.sum(w * (grid.xs**2 - mean_x2) ** 2)
+    dist = M.outcome_pdf(ground, chi)
+    assert abs(dist.mass - 1.0) <= 1e-13
+    assert dist.mean() == pytest.approx(chi * mean_x2, rel=1e-12, abs=1e-15)
+    assert dist.central_moment(2) == pytest.approx(chi**2 * var_x2 + 0.5,
+                                                   rel=1e-12)
 
 
 def test_shot_noise_pdf_matches_dense_closed_form(grid, ground):
@@ -323,13 +313,11 @@ def test_pdf_csv_export(tmp_path, ground):
     assert len(rows) == 1 + dist.q_axis.size
 
 
-def test_invalid_measurement_parameters(ground):
+def test_invalid_measurement_parameters():
     with pytest.raises(DomainError, match="chi"):
         M.LinearPulseMeasurement(chi=-1.0)
     with pytest.raises(DomainError):
         M.OutcomeWindow(1.0, 0.0)
-    with pytest.raises(DomainError, match="n_outcomes"):
-        M.outcome_pdf(ground, 1.0, n_outcomes=1)
 
 
 def test_zero_strength_is_pure_kinematics_in_every_map(ground):
