@@ -252,9 +252,9 @@ def cmd_protocol(cfg: dict, out: Path) -> int:
         w = wg.wigner_transform(summary.mean_state)
         w_min, w_vol = wg.negativity(w)
         if tomo is not None:
-            # the first child of the seed that no run reads
+            # the seed's tomography stream, on a key that no block reads
             rng = np.random.default_rng(np.random.SeedSequence(
-                config.seed, spawn_key=(config.n_runs,)))
+                config.seed, spawn_key=pr._TOMOGRAPHY_KEY))
             angles = np.arange(tomo["n_angles"]) * math.pi / tomo["n_angles"]
             tomo_wigner, tomo_report = pr.tomography(
                 summary.mean_state, angles, tomo["chi_p"],

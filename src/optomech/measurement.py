@@ -240,6 +240,11 @@ def _even_map(state: DensityMatrixGrid, chi: float, omega_kick: float,
     return DensityMatrixGrid(state.grid, out)
 
 
+def _window_weight(window: OutcomeWindow, m):
+    """Window integral of pi^(-1/2) exp(-(q - m)^2) dq: an erf difference."""
+    return 0.5 * (erf(window.hi - m) - erf(window.lo - m))
+
+
 def _damping(sq: np.ndarray) -> np.ndarray:
     """exp(-d^2), d = (sq - sq') / 2: the quadrant of uncondition."""
     return np.exp(-(0.5 * np.subtract.outer(sq, sq)) ** 2)
@@ -277,11 +282,8 @@ def condition_window(state: DensityMatrixGrid, chi: float, omega_kick: float,
     the two outcome Gaussians U(q) U*(q) is exp(-(q - m)^2 - d^2), so the
     window integral is an erf difference times the damping factor exp(-d^2).
     """
-    def quadrant(sq):
-        m = 0.5 * (sq[:, None] + sq[None, :])
-        return 0.5 * _damping(sq) * (erf(window.hi - m) - erf(window.lo - m))
-
-    raw = _even_map(state, chi, omega_kick, quadrant)
+    raw = _even_map(state, chi, omega_kick, lambda sq: _damping(sq)
+                    * _window_weight(window, 0.5 * np.add.outer(sq, sq)))
     return _normalized(raw, f"window {window}")
 
 

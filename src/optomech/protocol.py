@@ -35,7 +35,8 @@ from scipy.special import ndtr, ndtri
 
 from .errors import ConditioningError, DomainError, ReconstructionWarning
 from .measurement import (MIN_EVENT_PROBABILITY, OutcomeWindow, _envelopes,
-                          _even_map, _gram, condition_window)
+                          _even_map, _gram, _kick, _window_weight,
+                          condition_window)
 from .states import (DEFAULT_FOCK_DIM, DensityMatrixFock, DensityMatrixGrid,
                      GaussianSpec, QuadratureGrid, default_grid, grid_to_fock,
                      hermite_functions, make_gaussian)
@@ -54,6 +55,7 @@ __all__ = [
 ]
 
 _BLOCK_RUNS = 256  # runs per block: bounds the block arrays to a few MB
+_TOMOGRAPHY_KEY = (1,)  # spawn key of the tomography; block b's is (0, b)
 _RECON_STRIDE = 4  # tomography detector axis: every 4th state-grid point
 
 
@@ -161,9 +163,10 @@ def run_protocol(config: ProtocolConfig,
     """Monte-Carlo the preparation stage; return the campaign, without any
     Wigner analysis of its mean state (None if no run is accepted).
 
-    Run k reads a (pulses, 2) array of uniforms, per pulse a node variate
-    then a noise variate, from PCG64 on SeedSequence(seed, spawn_key=(k,));
-    child n_runs, which no run reads, seeds the tomography of `optomech
+    Each block of _BLOCK_RUNS runs draws one (runs, pulses, 2) array of
+    uniforms from PCG64 on SeedSequence(seed, spawn_key=(0, block)), a row
+    per run, per pulse a node then a noise variate, so run k's draws depend
+    only on the seed and k.  _TOMOGRAPHY_KEY seeds tomography in `optomech
     protocol`.  Each outcome is chi x_i^2 + N(0, 1/2) at a node i of weight
     rho_ii dx (_outcomes), folded onto x > 0 as in _even_map, where the
     parity flip before a second pulse leaves the weights as they are.  Run
@@ -174,32 +177,32 @@ def run_protocol(config: ProtocolConfig,
     rho_base with the quadrant sum of e_k e_k^T / n_acc.  Accepted outcomes
     of probability <= MIN_EVENT_PROBABILITY raise ConditioningError, as in
     condition_exact; zero acceptances give an empty-ensemble summary.
+    The closed form is sum fold0 W (W^2 for two pulses), W the _window_weight
+    of chi x^2: the P of condition_window (two_pulse_prepare), 0 if it raises.
     """
     if grid is None:
         grid = default_grid()
     state0 = make_gaussian(grid, config.initial)
     chi, omega, window = config.chi, config.omega_kick, config.window
-    try:
-        if config.two_pulse:
-            closed_form = two_pulse_prepare(state0, chi, omega, window)[1]
-        else:
-            closed_form = condition_window(state0, chi, omega, window)[1]
-    except ConditioningError:
-        closed_form = 0.0
+    _kick(grid, chi, omega)  # an aliased kick raises before any draw
     diag0 = state0.diagonal()
     half, dx = grid.n_points // 2, grid.dx
     sq = chi * grid.xs[half:] ** 2
     fold0 = (diag0[half:] + diag0[:half][::-1]) * dx
     pulses = 1 + config.two_pulse
+    weight, closed_form = _window_weight(window, sq), 0.0
+    p1 = float(fold0 @ weight)
+    if p1 > MIN_EVENT_PROBABILITY:  # else condition_window would raise
+        p2 = float(fold0 @ weight**2) / p1 if config.two_pulse else 1.0
+        closed_form = p1 * p2 if p2 > MIN_EVENT_PROBABILITY else 0.0
 
-    master = np.random.SeedSequence(config.seed)
     blocks = []  # (outcomes, accepted) per block
     mixture = np.zeros((half, half))  # sum of e_k e_k^T on x, x' > 0
-    for start in range(0, config.n_runs, _BLOCK_RUNS):
-        streams = master.spawn(min(_BLOCK_RUNS, config.n_runs - start))
-        u = np.array([np.random.Generator(np.random.PCG64(s))
-                      .random((pulses, 2)) for s in streams])
-        q, joint = np.empty((2, len(streams), pulses))
+    for block, start in enumerate(range(0, config.n_runs, _BLOCK_RUNS)):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(config.seed, spawn_key=(0, block))))
+        u = rng.random((min(_BLOCK_RUNS, config.n_runs - start), pulses, 2))
+        q, joint = np.empty((2, len(u), pulses))
         w, b = fold0, 1.0  # folded diagonal of the unnormalised state
         for j in range(pulses):
             q[:, j] = _outcomes(sq, np.cumsum(w, axis=-1), u[:, j])

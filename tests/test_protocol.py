@@ -12,7 +12,8 @@ from optomech import measurement as M
 from optomech import protocol as PR
 from optomech import states
 from optomech import wigner as W
-from optomech.errors import DomainError, GridError, ReconstructionWarning
+from optomech.errors import (ConditioningError, DomainError, GridError,
+                             ReconstructionWarning)
 
 
 ANGLES16 = [k * math.pi / 16 for k in range(16)]
@@ -151,16 +152,20 @@ def reference_protocol(cfg, grid):
     condition on it, flip and repeat for a second pulse; returns acceptance
     flags, outcomes and accepted-ensemble mean.  The node is the first of the
     diagonal folded onto x > 0 whose running sum reaches (1 - u_node) of the
-    total, and the outcome is chi x^2 there plus ndtri(u_noise) / sqrt(2)."""
+    total, and the outcome is chi x^2 there plus ndtri(u_noise) / sqrt(2).
+    Run k's variates are row k % 256 of block k // 256's draw."""
     state0 = states.make_gaussian(grid, cfg.initial)
     half = grid.n_points // 2
     sq = cfg.chi * grid.xs[half:] ** 2
     lo, hi = cfg.window.lo, cfg.window.hi
     flags, outcomes, total = [], [], np.zeros_like(state0.rho)
-    for stream in np.random.SeedSequence(cfg.seed).spawn(cfg.n_runs):
-        rng = np.random.Generator(np.random.PCG64(stream))
+    for k in range(cfg.n_runs):
+        if k % 256 == 0:
+            block = np.random.Generator(np.random.PCG64(np.random.SeedSequence(
+                cfg.seed, spawn_key=(0, k // 256)))).random(
+                    (min(256, cfg.n_runs - k), 1 + cfg.two_pulse, 2))
         st, qs = state0, []
-        for u_node, u_noise in rng.random((1 + cfg.two_pulse, 2)):
+        for u_node, u_noise in block[k % 256]:
             if qs:
                 st = PR.rotate_half_period(st)
             diag = st.diagonal()
@@ -193,6 +198,104 @@ def test_engine_matches_per_run_reference(two_pulse):
     assert np.max(np.abs(summary.outcomes - outcomes)) <= 1e-12
     assert summary.n_accepted == sum(flags)
     assert np.max(np.abs(summary.mean_state.rho - mean)) <= 1e-12
+
+
+def test_shorter_campaign_draws_a_prefix_of_the_longer():
+    # run k's draws depend only on the seed and k: 300 runs end inside the
+    # second block, which 700 runs fill
+    grid = states.QuadratureGrid(-8.0, 8.0, 128)
+    for two_pulse in (False, True):
+        short, full = (PR.run_protocol(config(n_runs=n, two_pulse=two_pulse,
+                                              omega_kick=1.5), grid=grid)
+                       for n in (300, 700))
+        assert np.array_equal(short.outcomes, full.outcomes[:300])
+        assert np.array_equal(short.accepted, full.accepted[:300])
+
+
+@pytest.mark.parametrize("n_runs", [1, 256, 257, 10_000])
+def test_tomography_key_is_no_block_key(monkeypatch, n_runs):
+    keys = []
+    seed_sequence = np.random.SeedSequence
+
+    def recording(*args, **kwargs):
+        keys.append(tuple(kwargs.get("spawn_key", ())))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", recording)
+    PR.run_protocol(config(n_runs=n_runs),
+                    grid=states.QuadratureGrid(-8.0, 8.0, 128))
+    assert len(keys) == -(-n_runs // 256)
+    assert len(set(keys)) == len(keys)
+    assert PR._TOMOGRAPHY_KEY not in keys
+
+
+@pytest.mark.parametrize("two_pulse", [False, True],
+                         ids=["single_pulse", "two_pulse"])
+def test_closed_form_matches_window_maps(two_pulse):
+    # P of condition_window (two_pulse_prepare), or 0.0 where they raise
+    grid = states.QuadratureGrid(-8.0, 8.0, 128)
+    prepare = PR.two_pulse_prepare if two_pulse else M.condition_window
+    specs = (states.GaussianSpec("ground"),
+             states.GaussianSpec("thermal", nbar=0.7),
+             states.GaussianSpec("momentum_squeezed", r=0.4),
+             states.GaussianSpec("ground", mean_x=0.8, mean_p=-0.5))
+    raised = compared = 0
+    for spec in specs:
+        state = states.make_gaussian(grid, spec)
+        for chi in (0.0, 1.0, 100.0):
+            for win in (window(1.5, 0.8), M.OutcomeWindow(50.0, 0.1)):
+                closed = PR.run_protocol(config(
+                    initial=spec, chi=chi, window=win, omega_kick=1.5,
+                    two_pulse=two_pulse, n_runs=1),
+                    grid=grid).closed_form_probability
+                try:
+                    prob = prepare(state, chi, 1.5, win)[1]
+                except ConditioningError:
+                    raised += 1
+                    assert closed == 0.0
+                    continue
+                compared += 1
+                assert abs(closed - prob) <= 1e-14 * prob
+    assert raised and compared
+
+
+@pytest.mark.parametrize("two_pulse", [False, True],
+                         ids=["single_pulse", "two_pulse"])
+def test_aliased_kick_raises_with_no_run_accepted(two_pulse):
+    with pytest.raises(GridError):
+        PR.run_protocol(config(window=M.OutcomeWindow(50.0, 0.1),
+                               omega_kick=1000.0, n_runs=64,
+                               two_pulse=two_pulse))
+
+
+@pytest.mark.parametrize("two_pulse", [False, True],
+                         ids=["single_pulse", "two_pulse"])
+def test_run_protocol_builds_one_matrix(monkeypatch, two_pulse):
+    # the acceptance needs only the diagonal: the mean state is the one n x n
+    # map, and no window map runs
+    calls = dict.fromkeys(("_even_map", "condition_window",
+                           "two_pulse_prepare"), 0)
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        for mod in (M, PR):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod,
+                                                                     name)))
+    grid = states.QuadratureGrid(-8.0, 8.0, 128)
+    for win, maps in ((window(1.5, 1.2), 1), (M.OutcomeWindow(50.0, 0.1), 0)):
+        calls.update(dict.fromkeys(calls, 0))
+        summary = PR.run_protocol(config(window=win, omega_kick=1.5,
+                                         n_runs=300, two_pulse=two_pulse),
+                                  grid=grid)
+        assert (summary.n_accepted > 0) == bool(maps)
+        assert calls == {"_even_map": maps, "condition_window": 0,
+                         "two_pulse_prepare": 0}
 
 
 def test_acceptance_tracks_closed_form():
