@@ -158,7 +158,8 @@ def cmd_measure(cfg: dict, out: Path) -> int:
     _parsed("config", ms._kick, state.grid, chi, omega)  # even with no window
     dist = _parsed("config", ms.outcome_pdf, state, chi)
     ms.pdf_to_csv(dist, out / "pdf.csv")
-    doc = {"chi": chi, "omega": omega, "outcome_mean": dist.mean(),
+    doc = {"chi": chi, "omega": omega, "outcome_mass": dist.mass,
+           "outcome_mean": dist.mean(),
            "outcome_variance": dist.central_moment(2), "window": None,
            "window_probability": None}
     if window is not None:

@@ -226,16 +226,17 @@ def _even_map(state: DensityMatrixGrid, chi: float, omega_kick: float,
     x'; quadrant(sq) returns it on x, x' > 0 from sq = chi x^2 there, and it
     is mirrored into the other three quadrants, so x_{n-1-i}^2 is read as
     x_i^2: xs[::-1] and -xs differ by rounding (up to 7.1e-15 on [-24, 24]
-    with 2048 points)."""
+    with 2048 points).  quadrant None means K = 1, the bare kick."""
     phase = _kick(state.grid, chi, omega_kick)
-    half = state.grid.n_points // 2
-    quad = quadrant(chi * state.grid.xs[half:] ** 2)
     out = phase[:, None] * np.conj(phase)[None, :]
-    neg, pos = slice(None, half), slice(half, None)
-    out[pos, pos] *= quad
-    out[pos, neg] *= quad[:, ::-1]
-    out[neg, pos] *= quad[::-1]
-    out[neg, neg] *= quad[::-1, ::-1]
+    if quadrant is not None:
+        half = state.grid.n_points // 2
+        quad = quadrant(chi * state.grid.xs[half:] ** 2)
+        neg, pos = slice(None, half), slice(half, None)
+        out[pos, pos] *= quad
+        out[pos, neg] *= quad[:, ::-1]
+        out[neg, pos] *= quad[::-1]
+        out[neg, neg] *= quad[::-1, ::-1]
     out *= state.rho
     return DensityMatrixGrid(state.grid, out)
 

@@ -117,7 +117,7 @@ def momentum_kick(state: DensityMatrixGrid, omega: float) -> DensityMatrixGrid:
     """Displace momentum by omega: rho <- e^{i omega (x - x')} rho, K = 1.
     The diagonal is untouched; kicks beyond the grid's momentum Nyquist pi/dx
     would alias and raise GridError."""
-    return _even_map(state, 0.0, omega, lambda _: np.ones((1, 1)))
+    return _even_map(state, 0.0, omega, None)
 
 
 def rotate_half_period(state: DensityMatrixGrid) -> DensityMatrixGrid:

@@ -22,6 +22,7 @@ Criteria and tolerances:
 
 import pytest
 
+from optomech import measurement as ms
 from optomech import verification as vf
 
 
@@ -114,3 +115,34 @@ def test_table1_delta_follows_the_derived_chain():
     chi = rows["table1.chi_x"].measured
     assert rows["table1.delta"].measured == pytest.approx(
         (6 * chi - 2) ** 0.5 / chi, rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def full_run():
+    """Rows of one run_checks() call and its number of condition_window
+    calls made through the measurement module."""
+    calls = []
+    original = ms.condition_window
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ms, "condition_window", counted)
+        results = vf.run_checks()
+    return results, len(calls)
+
+
+def test_fig2_panels_are_conditioned_once(full_run):
+    # panels (b), (e), (h) serve criteria 2, 6 and 8; Monte Carlo, the
+    # oracles and tomography make one call each
+    assert full_run[1] == 6
+
+
+def test_every_row_honours_its_override(full_run):
+    names = [r.name for r in full_run[0]]
+    sentinel = 12345.0
+    results = vf.run_checks(overrides=dict.fromkeys(names, sentinel))
+    assert [r.name for r in results] == names
+    assert [r.name for r in results if r.target != sentinel] == []

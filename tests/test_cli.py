@@ -124,6 +124,16 @@ def test_measure_command_at_large_strength(tmp_path):
     assert doc["outcome_variance"] == pytest.approx(20000.5, rel=1e-9)
 
 
+@pytest.mark.parametrize("chi", [1.0, 200.0])
+def test_measure_command_reports_the_outcome_mass(tmp_path, chi):
+    # the sampled pdf integrates to the state's trace at every strength
+    code, out = run(tmp_path, "measure",
+                    {"state": {"kind": "ground"}, "chi": chi})
+    assert code == 0
+    doc = json.loads((out / "measurement.json").read_text())
+    assert abs(doc["outcome_mass"] - 1.0) <= 1e-13
+
+
 def test_measure_strength_past_the_outcome_cap_exit_2(tmp_path, capsys):
     # chi = 1e6 would need 5.1e8 outcomes, 4 GiB per array: the config is
     # refused before any array of that size is built

@@ -75,6 +75,17 @@ def test_momentum_kick_properties(grid, ground):
     assert np.max(np.abs(round_trip.rho - ground.rho)) < 1e-12
 
 
+@pytest.mark.parametrize("n_points", [512, 2048])
+def test_momentum_kick_is_the_bare_phase(n_points):
+    # K = 1: the kick is rho o e^{i w (x - x')} with no mirrored kernel
+    grid = states.QuadratureGrid(-24.0, 24.0, n_points)
+    thermal = states.make_gaussian(grid,
+                                   states.GaussianSpec("thermal", nbar=2.0))
+    phase = np.exp(1j * 1.3 * grid.xs)
+    want = phase[:, None] * np.conj(phase)[None, :] * thermal.rho
+    assert np.array_equal(PR.momentum_kick(thermal, 1.3).rho, want)
+
+
 def test_momentum_kick_aliasing_guard(ground):
     nyquist = math.pi / ground.grid.dx
     with pytest.raises(GridError):
